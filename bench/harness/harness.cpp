@@ -293,13 +293,16 @@ class Runner
             record.resources["branch_misses"] =
                 static_cast<double>(totals.branchMisses);
         }
+        // A per-case sink that cannot be written is reported and
+        // counted (obs::sinkFlushFailures), failing the suite's exit.
         if (sample_case) {
             record.resources["samples"] =
                 static_cast<double>(obs::samplerSampleCount());
             const std::string sample_out = obs::sampleOutPath();
-            if (!sample_out.empty())
-                obs::writeSampleProfile(
-                    casePathFor(sample_out, def.name));
+            if (!sample_out.empty() &&
+                !obs::writeSampleProfile(
+                    casePathFor(sample_out, def.name)))
+                obs::noteSinkLost("sample profile", def.name);
         }
         if (heap_case) {
             const obs::HeapStats heap = obs::heapStatsSnapshot();
@@ -310,12 +313,12 @@ class Runner
             record.resources["peak_heap"] =
                 static_cast<double>(heap.peakBytes);
             const std::string heap_out = obs::heapOutPath();
-            if (!heap_out.empty())
-                obs::writeHeapProfile(
-                    casePathFor(heap_out, def.name));
+            if (!heap_out.empty() &&
+                !obs::writeHeapProfile(casePathFor(heap_out, def.name)))
+                obs::noteSinkLost("heap profile", def.name);
         }
-        if (trace_case)
-            obs::writeTrace(caseTracePath(def.name));
+        if (trace_case && !obs::writeTrace(caseTracePath(def.name)))
+            obs::noteSinkLost("timeline", def.name);
 
         obs::setMetricsEnabled(prev_metrics);
         if (ThreadPool::instance().threadCount() != prev_threads)
@@ -411,6 +414,7 @@ runRegisteredCases(const RunnerOptions& opts)
 
     TablePrinter table;
     bool any_failed = false;
+    const std::int64_t lost_before = obs::sinkFlushFailures();
     for (const CaseDef& def : cases) {
         CaseRecord record = Runner::runCase(def, opts, table);
         std::fprintf(stderr,
@@ -435,7 +439,8 @@ runRegisteredCases(const RunnerOptions& opts)
     if (wrote)
         std::fprintf(stderr, "[bench] wrote %s (%zu cases)\n",
                      path.c_str(), report.cases.size());
-    return any_failed || !wrote ? 1 : 0;
+    const bool lost = obs::sinkFlushFailures() != lost_before;
+    return any_failed || !wrote || lost ? 1 : 0;
 }
 
 int

@@ -9,11 +9,14 @@
 #include <system_error>
 
 #include "obs/atomic_file.hpp"
+#include "obs/stack_profile.hpp"
 
 namespace mrq {
 namespace bench {
 
 namespace {
+
+using obs::jsonEscape;
 
 /** Shortest decimal form of @p v that parses back bit-exactly, so the
  *  committed trajectory stays readable without losing determinism. */
@@ -27,25 +30,6 @@ formatDouble(double v)
             break;
     }
     return buf;
-}
-
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-            continue;
-        }
-        out.push_back(c);
-    }
-    return out;
 }
 
 void

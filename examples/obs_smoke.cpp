@@ -13,9 +13,13 @@
  * Also exercises the rest of the observability stack:
  *
  *     MRQ_TRACE_OUT=trace.json   Chrome/Perfetto timeline of the run
- *                                (tools/check_trace_schema.py,
- *                                tools/trace_report.py)
- *     MRQ_PROFILE=1              hierarchical span profile on stdout
+ *                                (tools/check_trace_schema.py;
+ *                                tools/trace_report.py prints per-path
+ *                                self/total time and calls)
+ *     MRQ_SAMPLE_OUT=cpu.jsonl   CPU and heap stack profiles
+ *     MRQ_HEAPPROF_OUT=heap.jsonl (tools/check_profile_schema.py;
+ *                                tools/profile_diff.py diffs two or
+ *                                renders one as folded stacks)
  *     MRQ_WATCHDOG=on|strict     training-health alerts in the JSONL
  *     MRQ_INSPECT=on             per-layer/per-rung numerical-health
  *                                records in MRQ_INSPECT_OUT

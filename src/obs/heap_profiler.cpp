@@ -10,16 +10,15 @@
  * makes (aggregation-map nodes, thread_local registration, the
  * symbol cache) passes through unrecorded instead of recursing.
  *
- * Mutable shared state that outlives arming (the aggregation map and
- * its mutex) is intentionally immortal — function-local leaked
- * singletons, never destroyed — because interposed operator delete
- * keeps running through static destruction and must never race a
- * dying mutex.  The same reasoning the stats plane documents.
+ * Mutable shared state that outlives arming (the heap stack
+ * aggregate of obs/stack_profile.hpp) is intentionally immortal —
+ * never destroyed — because interposed operator delete keeps running
+ * through static destruction and must never race a dying mutex.  The
+ * same reasoning the stats plane documents.
  */
 
 #include "obs/heap_profiler.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -30,14 +29,11 @@
 #include <execinfo.h>
 #include <malloc.h>
 
-#include "kernels/isa.hpp"
 #include "kernels/roofline.hpp"
-#include "obs/atomic_file.hpp"
 #include "obs/env.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 
 namespace mrq {
@@ -143,48 +139,6 @@ ensureHeapSlot()
     return found;
 }
 
-// ---- aggregation (immortal: delete runs through static dtors) -----
-
-/** Aggregation key: where the sampled bytes were allocated. */
-struct HeapStackKey
-{
-    int pathId = 0;
-    int kernel = -1;
-    std::vector<std::uintptr_t> pcs;
-
-    bool
-    operator<(const HeapStackKey& o) const
-    {
-        if (pathId != o.pathId)
-            return pathId < o.pathId;
-        if (kernel != o.kernel)
-            return kernel < o.kernel;
-        return pcs < o.pcs;
-    }
-};
-
-struct HeapWeight
-{
-    std::int64_t bytes = 0;
-    std::int64_t count = 0;
-};
-
-using HeapAggMap = std::map<HeapStackKey, HeapWeight>;
-
-std::mutex&
-aggMutex()
-{
-    static std::mutex* m = new std::mutex;
-    return *m;
-}
-
-HeapAggMap&
-aggMap()
-{
-    static HeapAggMap* m = new HeapAggMap;
-    return *m;
-}
-
 /** glibc's backtrace() dlopens libgcc (with malloc) on first use;
  *  run it once from normal context before any capture site needs
  *  it.  Idempotent, thread-safe via the static guard. */
@@ -214,7 +168,7 @@ sizeClassOf(std::size_t size)
 void
 takeSample(std::int64_t weight_bytes)
 {
-    HeapStackKey key;
+    StackKey key;
     key.pathId = currentTracePathId();
     key.kernel = kernels::activeKernelSampleTag();
     // Three frames of plumbing sit on top of the allocating caller:
@@ -228,15 +182,13 @@ takeSample(std::int64_t weight_bytes)
     for (int i = 0; i < keep; ++i)
         key.pcs.push_back(
             reinterpret_cast<std::uintptr_t>(pcs[i + skip]));
-    {
-        std::lock_guard<std::mutex> lock(aggMutex());
-        HeapWeight& w = aggMap()[std::move(key)];
-        w.bytes += weight_bytes;
-        w.count += 1;
-    }
+    // Counters first, stack second: a profile copies the stacks
+    // before it reads the counters, so its stacks never outweigh its
+    // sampled_bytes total.
     g_samples.fetch_add(1, std::memory_order_relaxed);
     g_sampled_bytes.fetch_add(weight_bytes,
                               std::memory_order_relaxed);
+    stackAggregate(ProfileKind::Heap).add(std::move(key), weight_bytes);
 }
 
 /** Count a guarded-region violation; the first one process-wide also
@@ -264,62 +216,6 @@ recordViolation(std::size_t size)
         g_violation_pcs[i] = pcs[i + skip];
     g_violation_nframes = keep > 0 ? keep : 0;
     g_violation_state.store(2, std::memory_order_release);
-}
-
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/** Kernel-family slug for a sample tag (-1 / out of range -> ""). */
-const char*
-kernelSlug(int tag)
-{
-    if (tag < 0 || tag >= static_cast<int>(kernels::kKernelCount))
-        return "";
-    return kernels::kernelCost(static_cast<kernels::KernelId>(tag))
-        .slug;
-}
-
-/** "{run}" placeholder substitution (MRQ_TRACE_OUT contract). */
-std::string
-replaceRun(std::string path, const std::string& run)
-{
-    const std::string placeholder = "{run}";
-    const std::size_t at = path.find(placeholder);
-    if (at != std::string::npos)
-        path.replace(at, placeholder.size(), run);
-    return path;
 }
 
 std::int64_t
@@ -408,7 +304,11 @@ heapDumpCounters() noexcept
     const std::int64_t cur =
         g_current_bytes.load(std::memory_order_relaxed);
     c.currentBytes = cur > 0 ? cur : 0;
-    c.peakBytes = g_peak_bytes.load(std::memory_order_relaxed);
+    // An allocation publishes its new level before it raises the
+    // peak; a reader in between still reports peak >= current.
+    const std::int64_t peak =
+        g_peak_bytes.load(std::memory_order_relaxed);
+    c.peakBytes = peak > c.currentBytes ? peak : c.currentBytes;
     c.allocCount = g_alloc_count.load(std::memory_order_relaxed);
     c.allocBytes = g_alloc_bytes.load(std::memory_order_relaxed);
     c.freeCount = g_free_count.load(std::memory_order_relaxed);
@@ -494,10 +394,7 @@ heapSampledBytes()
 void
 resetHeapProfile()
 {
-    {
-        std::lock_guard<std::mutex> lock(aggMutex());
-        aggMap().clear();
-    }
+    stackAggregate(ProfileKind::Heap).clear();
     g_samples.store(0, std::memory_order_relaxed);
     g_sampled_bytes.store(0, std::memory_order_relaxed);
     g_alloc_count.store(0, std::memory_order_relaxed);
@@ -563,195 +460,52 @@ heapThreadChurn()
     return out;
 }
 
-std::vector<HeapStack>
+std::vector<ProfileStack>
 heapStacks()
 {
-    HeapAggMap agg;
+    StackMap agg;
     {
-        std::lock_guard<std::mutex> lock(aggMutex());
         // Copying the map allocates; a sample taken mid-copy would
-        // re-enter aggMutex() on this thread and deadlock, so the
-        // copy must run with the hook suppressed.
+        // re-enter the aggregate's mutex on this thread and deadlock,
+        // so the copy must run with the hook suppressed.
         const bool prev_in_hook = t_in_hook;
         t_in_hook = true;
-        agg = aggMap();
+        agg = stackAggregate(ProfileKind::Heap).copy();
         t_in_hook = prev_in_hook;
     }
-    std::vector<HeapStack> out;
-    out.reserve(agg.size());
-    for (const auto& kv : agg) {
-        HeapStack s;
-        s.span = tracePathString(kv.first.pathId);
-        s.kernel = kernelSlug(kv.first.kernel);
-        s.bytes = kv.second.bytes;
-        s.count = kv.second.count;
-        s.frames.reserve(kv.first.pcs.size());
-        for (std::uintptr_t pc : kv.first.pcs)
-            s.frames.push_back(symbolizePc(pc));
-        out.push_back(std::move(s));
-    }
-    std::sort(out.begin(), out.end(),
-              [](const HeapStack& a, const HeapStack& b) {
-                  if (a.bytes != b.bytes)
-                      return a.bytes > b.bytes;
-                  if (a.span != b.span)
-                      return a.span < b.span;
-                  if (a.kernel != b.kernel)
-                      return a.kernel < b.kernel;
-                  return a.frames < b.frames;
-              });
-    return out;
-}
-
-std::string
-heapProfileJsonl()
-{
-    const std::vector<HeapStack> stacks = heapStacks();
-    const std::vector<HeapThreadChurn> churn = heapThreadChurn();
-    const HeapStats totals = heapStatsSnapshot();
-    std::string out;
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "{\"type\": \"heap_profile\", \"version\": %d, "
-                  "\"interval_bytes\": %lld, ",
-                  kHeapProfileVersion,
-                  static_cast<long long>(g_interval_bytes.load(
-                      std::memory_order_relaxed)));
-    out += buf;
-    out += "\"isa\": \"" +
-           jsonEscape(kernels::isaName(kernels::activeIsa())) +
-           "\", \"git\": \"" + jsonEscape(buildGitDescribe()) + "\"";
-    std::snprintf(
-        buf, sizeof buf,
-        ", \"samples\": %lld, \"sampled_bytes\": %lld, "
-        "\"current_bytes\": %lld, \"peak_bytes\": %lld, "
-        "\"alloc_count\": %lld, \"alloc_bytes\": %lld, "
-        "\"free_count\": %lld, \"free_bytes\": %lld, "
-        "\"guard_violations\": %lld}\n",
-        static_cast<long long>(totals.samples),
-        static_cast<long long>(totals.sampledBytes),
-        static_cast<long long>(totals.currentBytes),
-        static_cast<long long>(totals.peakBytes),
-        static_cast<long long>(totals.allocCount),
-        static_cast<long long>(totals.allocBytes),
-        static_cast<long long>(totals.freeCount),
-        static_cast<long long>(totals.freeBytes),
-        static_cast<long long>(totals.guardViolations));
-    out += buf;
-    for (const HeapThreadChurn& t : churn) {
-        out += "{\"type\": \"heap_thread\", \"thread\": \"" +
-               jsonEscape(t.name) + "\"";
-        std::snprintf(buf, sizeof buf,
-                      ", \"alloc_bytes\": %lld, "
-                      "\"alloc_count\": %lld}\n",
-                      static_cast<long long>(t.allocBytes),
-                      static_cast<long long>(t.allocCount));
-        out += buf;
-    }
-    for (const HeapStack& s : stacks) {
-        out += "{\"type\": \"alloc_stack\", \"span\": \"" +
-               jsonEscape(s.span) + "\", \"kernel\": \"" +
-               jsonEscape(s.kernel) + "\"";
-        std::snprintf(buf, sizeof buf,
-                      ", \"bytes\": %lld, \"count\": %lld, "
-                      "\"frames\": [",
-                      static_cast<long long>(s.bytes),
-                      static_cast<long long>(s.count));
-        out += buf;
-        for (std::size_t i = 0; i < s.frames.size(); ++i) {
-            if (i > 0)
-                out += ", ";
-            out += "\"" + jsonEscape(s.frames[i]) + "\"";
-        }
-        out += "]}\n";
-    }
-    std::snprintf(buf, sizeof buf,
-                  "{\"type\": \"heap_profile_end\", \"stacks\": "
-                  "%zu, \"sampled_bytes\": %lld}\n",
-                  stacks.size(),
-                  static_cast<long long>(totals.sampledBytes));
-    out += buf;
-    return out;
-}
-
-std::string
-heapFoldedStacks()
-{
-    const std::vector<HeapStack> stacks = heapStacks();
-    std::map<std::string, std::int64_t> folded;
-    for (const HeapStack& s : stacks) {
-        std::string line;
-        std::string span = s.span;
-        std::size_t start = 0;
-        while (start < span.size()) {
-            std::size_t slash = span.find('/', start);
-            if (slash == std::string::npos)
-                slash = span.size();
-            if (slash > start) {
-                if (!line.empty())
-                    line += ';';
-                line += span.substr(start, slash - start);
-            }
-            start = slash + 1;
-        }
-        for (std::size_t i = s.frames.size(); i-- > 0;) {
-            if (!line.empty())
-                line += ';';
-            line += s.frames[i];
-        }
-        if (line.empty())
-            line = "??";
-        folded[line] += s.bytes;
-    }
-    std::string out;
-    char buf[32];
-    for (const auto& kv : folded) {
-        out += kv.first;
-        std::snprintf(buf, sizeof buf, " %lld\n",
-                      static_cast<long long>(kv.second));
-        out += buf;
-    }
-    return out;
+    return profileStacks(agg);
 }
 
 bool
 writeHeapProfile(const std::string& path)
 {
-    if (path.empty())
-        return false;
-    AtomicFile af(path);
-    std::FILE* f = af.stream();
-    if (f == nullptr)
-        return false;
-    const std::string doc = heapProfileJsonl();
-    if (!doc.empty())
-        std::fwrite(doc.data(), 1, doc.size(), f);
-    const bool clean = std::ferror(f) == 0;
-    return af.commit() && clean;
+    ProfileDoc doc;
+    doc.kind = ProfileKind::Heap;
+    doc.stacks = heapStacks();
+    const HeapStats t = heapStatsSnapshot();
+    doc.totals = {{"interval_bytes",
+                   g_interval_bytes.load(std::memory_order_relaxed)},
+                  {"samples", t.samples},
+                  {"sampled_bytes", t.sampledBytes},
+                  {"current_bytes", t.currentBytes},
+                  {"peak_bytes", t.peakBytes},
+                  {"alloc_count", t.allocCount},
+                  {"alloc_bytes", t.allocBytes},
+                  {"free_count", t.freeCount},
+                  {"free_bytes", t.freeBytes},
+                  {"guard_violations", t.guardViolations}};
+    for (const HeapThreadChurn& c : heapThreadChurn())
+        doc.threads.push_back({c.name,
+                               {{"alloc_bytes", c.allocBytes},
+                                {"alloc_count", c.allocCount}}});
+    return writeStackProfile(path, doc);
 }
 
 bool
 flushHeapProfile(const std::string& run)
 {
-    bool ok = true;
     const std::string out = heapOutPath();
-    if (!out.empty())
-        ok = writeHeapProfile(replaceRun(out, run)) && ok;
-    const std::string folded = envValue("MRQ_HEAPPROF_FOLDED", "");
-    if (!folded.empty()) {
-        AtomicFile af(replaceRun(folded, run));
-        std::FILE* f = af.stream();
-        if (f == nullptr) {
-            ok = false;
-        } else {
-            const std::string doc = heapFoldedStacks();
-            if (!doc.empty())
-                std::fwrite(doc.data(), 1, doc.size(), f);
-            const bool clean = std::ferror(f) == 0;
-            ok = (af.commit() && clean) && ok;
-        }
-    }
-    return ok;
+    return out.empty() || writeHeapProfile(resolveRunPath(out, run));
 }
 
 // ---- no-alloc guards ----------------------------------------------

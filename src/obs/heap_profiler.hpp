@@ -22,12 +22,11 @@
  *    the accumulated bytes to that (span, kernel, stack) key.  Live
  *    totals (current/peak bytes, allocation rate, a log2 size-class
  *    histogram, per-thread churn) feed the stats endpoint
- *    (obs/exposition.hpp) and post-mortem dumps; the aggregate is
- *    emitted as a versioned JSONL heap profile (MRQ_HEAPPROF_OUT,
- *    "{run}" substituted, atomic tmp+rename) plus folded stacks
- *    (MRQ_HEAPPROF_FOLDED) weighted by bytes for flamegraphs.
- *    tools/check_heap_schema.py validates the JSONL and
- *    tools/heap_diff.py ranks per-stack deltas between two profiles.
+ *    (obs/exposition.hpp) and post-mortem dumps; the aggregate (the
+ *    heap instance of obs/stack_profile.hpp) is emitted as a kind
+ *    "heap" stack profile weighted by bytes (MRQ_HEAPPROF_OUT, "{run}"
+ *    substituted), checked and diffed by the same tools as the CPU
+ *    profile.
  *
  *  - AllocGuard (MRQ_ALLOC_GUARD=on|strict): an RAII region declaring
  *    "this path must not allocate".  A violating allocation inside
@@ -57,11 +56,10 @@
 #include <string>
 #include <vector>
 
+#include "obs/stack_profile.hpp"
+
 namespace mrq {
 namespace obs {
-
-/** Heap-profile JSONL schema version (header "version" field). */
-constexpr int kHeapProfileVersion = 1;
 
 /** Default sampling interval: one stack per 512 KiB allocated. */
 constexpr std::int64_t kHeapDefaultIntervalBytes = 512 * 1024;
@@ -190,34 +188,18 @@ struct HeapThreadChurn
 };
 std::vector<HeapThreadChurn> heapThreadChurn();
 
-/** One aggregated allocation site of the heap profile. */
-struct HeapStack
-{
-    std::string span;       ///< Slash-joined span path ("" = none).
-    std::string kernel;     ///< Kernel-family slug ("" = none).
-    std::int64_t bytes = 0; ///< Sampled bytes charged to this stack.
-    std::int64_t count = 0; ///< Samples landing on this stack.
-    /** Symbolized frames, innermost first. */
-    std::vector<std::string> frames;
-};
+/** Aggregated allocation stacks (thread ""), most bytes first
+ *  (obs::profileStacks order; weight = sampled bytes). */
+std::vector<ProfileStack> heapStacks();
 
-/** Aggregated allocation stacks, most bytes first (ties broken
- *  lexicographically for determinism). */
-std::vector<HeapStack> heapStacks();
-
-/** The full JSONL heap-profile document (header, heap_thread rows,
- *  alloc_stack rows, end line). */
-std::string heapProfileJsonl();
-
-/** Folded stacks ("span;frames... <bytes>"), root-first — same
- *  format as the CPU profilers, weighted by bytes. */
-std::string heapFoldedStacks();
-
-/** Write the JSONL profile to @p path via AtomicFile. */
+/** Write the kind "heap" profile (totals: interval_bytes, samples,
+ *  sampled_bytes, current_bytes, peak_bytes, alloc/free counts and
+ *  bytes, guard_violations; thread rows: alloc_bytes, alloc_count) to
+ *  @p path via AtomicFile. */
 bool writeHeapProfile(const std::string& path);
 
-/** Flush MRQ_HEAPPROF_OUT / MRQ_HEAPPROF_FOLDED (with "{run}"
- *  replaced by @p run).  True when nothing was lost. */
+/** Write MRQ_HEAPPROF_OUT (with "{run}" replaced by @p run).  True
+ *  when nothing was lost. */
 bool flushHeapProfile(const std::string& run);
 
 // ---- No-alloc guard regions ---------------------------------------

@@ -5,6 +5,7 @@
 
 #include "obs/atomic_file.hpp"
 #include "obs/env.hpp"
+#include "obs/stack_profile.hpp"
 #include "obs/watchdog.hpp"
 
 namespace mrq {
@@ -28,25 +29,6 @@ formatDouble(double v)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
-}
-
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-            continue;
-        }
-        out.push_back(c);
-    }
-    return out;
 }
 
 const char*

@@ -11,8 +11,8 @@
 #include "obs/heap_profiler.hpp"
 #include "obs/inspect.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/sampler.hpp"
+#include "obs/stack_profile.hpp"
 #include "obs/stats_server.hpp"
 #include "obs/trace_export.hpp"
 
@@ -36,25 +36,6 @@ namespace mrq {
 namespace obs {
 
 namespace {
-
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-            continue;
-        }
-        out.push_back(c);
-    }
-    return out;
-}
 
 /** Live RunScopes, outermost first.  Guarded: the watchdog may flush
  *  from library code while the owner frame is far up the stack. */
@@ -89,28 +70,7 @@ popScope(RunScope* scope)
         stack.scopes.erase(it);
 }
 
-/** MRQ_TRACE_OUT with an optional "{run}" placeholder substituted,
- *  so multi-run processes can split the timeline per run. */
-std::string
-resolveTraceOutPath(const std::string& run)
-{
-    std::string path = traceExportPath();
-    const std::size_t pos = path.find("{run}");
-    if (pos != std::string::npos)
-        path.replace(pos, 5, run);
-    return path;
-}
-
 std::atomic<std::int64_t> g_sink_flush_failures{0};
-
-/** Report one lost sink file and count it for sinkFlushFailures(). */
-void
-sinkLost(const char* what, const std::string& run)
-{
-    std::fprintf(stderr, "mrq: %s for run '%s' were lost\n", what,
-                 run.c_str());
-    g_sink_flush_failures.fetch_add(1, std::memory_order_relaxed);
-}
 
 } // namespace
 
@@ -214,34 +174,35 @@ RunScope::flush()
         if (const char* path = envValue("MRQ_METRICS_OUT", nullptr)) {
             if (!MetricsRegistry::instance().writeJsonl(
                     path, manifestJson(manifest_)))
-                sinkLost("metrics", manifest_.run);
+                noteSinkLost("metrics", manifest_.run);
             else if (verbose_)
                 std::fprintf(stdout, "mrq: metrics -> %s\n", path);
         }
         if (verbose_)
             MetricsRegistry::instance().printSummary(stdout);
-        flushProfile(stdout);
     }
     if (traceExportEnabled()) {
-        const std::string path = resolveTraceOutPath(manifest_.run);
+        // "{run}" in MRQ_TRACE_OUT splits the timeline per run.
+        const std::string path =
+            resolveRunPath(traceExportPath(), manifest_.run);
         // Buffers are cumulative: each flush rewrites the file with
         // the timeline so far, so the last run's write holds the
         // whole process.
         if (!path.empty() && !writeTrace(path))
-            sinkLost("timeline", manifest_.run);
+            noteSinkLost("timeline", manifest_.run);
     }
     if (samplerEnabledFromEnv()) {
         // Like the timeline: the aggregated profile is cumulative, so
         // the last run's write holds the whole process unless the
         // path splits per run via "{run}".
         if (!flushSampleProfile(manifest_.run))
-            sinkLost("sample profile", manifest_.run);
+            noteSinkLost("sample profile", manifest_.run);
     }
     if (heapProfilerEnabledFromEnv()) {
         // Cumulative like the sample profile; "{run}" in the path
         // splits per run.
         if (!flushHeapProfile(manifest_.run))
-            sinkLost("heap profile", manifest_.run);
+            noteSinkLost("heap profile", manifest_.run);
     }
     QuantInspector& inspector = QuantInspector::instance();
     if (inspector.enabled()) {
@@ -250,7 +211,7 @@ RunScope::flush()
         const std::string path = inspector.outPath();
         if (!inspector.writeJsonl(path, manifestJson(manifest_),
                                   /*append=*/true))
-            sinkLost("inspector records", manifest_.run);
+            noteSinkLost("inspector records", manifest_.run);
         else if (verbose_)
             std::fprintf(stdout, "mrq: inspector -> %s\n", path.c_str());
     }
@@ -283,6 +244,14 @@ std::int64_t
 sinkFlushFailures()
 {
     return g_sink_flush_failures.load(std::memory_order_relaxed);
+}
+
+void
+noteSinkLost(const char* what, const std::string& run)
+{
+    std::fprintf(stderr, "mrq: %s for run '%s' were lost\n", what,
+                 run.c_str());
+    g_sink_flush_failures.fetch_add(1, std::memory_order_relaxed);
 }
 
 } // namespace obs

@@ -15,7 +15,7 @@
  * resets the registry and enables collection when any sink is live
  * (MRQ_METRICS_OUT set, tracing on, or verbose requested); on exit it
  * flushes every live sink — JSONL metrics, the MRQ_TRACE_OUT
- * timeline, the MRQ_PROFILE report, the verbose summary — then
+ * timeline, the stack profiles, the verbose summary — then
  * restores the previous enable/verbose state.  With no sink live it
  * enables nothing, keeping instrumented hot loops at their disabled
  * near-zero cost.
@@ -108,12 +108,17 @@ class RunScope
 void flushActiveRunScope();
 
 /**
- * Process-wide count of sink writes that failed during RunScope
- * flushes (metrics, timeline or inspector files that could not be
- * written).  Lets drivers propagate a non-zero exit status instead of
- * silently losing telemetry: `return sinkFlushFailures() == 0 ? 0 : 1`.
+ * Process-wide count of sink writes that failed (metrics, timeline,
+ * profile or inspector files that could not be written) during
+ * RunScope flushes or per-case bench writes.  Lets drivers propagate
+ * a non-zero exit status instead of silently losing telemetry:
+ * `return sinkFlushFailures() == 0 ? 0 : 1`.
  */
 std::int64_t sinkFlushFailures();
+
+/** Report one lost sink file on stderr ("mrq: <what> for run '<run>'
+ *  were lost") and count it in sinkFlushFailures(). */
+void noteSinkLost(const char* what, const std::string& run);
 
 } // namespace obs
 } // namespace mrq

@@ -13,6 +13,7 @@
 #include "obs/atomic_file.hpp"
 #include "obs/env.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/stack_profile.hpp"
 
 namespace mrq {
 namespace obs {
@@ -21,10 +22,9 @@ namespace detail {
 
 // Order matters: g_metrics_enabled reads g_trace_enabled, and both
 // are dynamically initialized in declaration order within this TU.
-// MRQ_PROFILE and MRQ_TRACE_OUT imply span tracing (the profiler and
-// the timeline are built from spans), which in turn implies metrics.
+// MRQ_TRACE_OUT implies span tracing (the timeline is built from
+// spans), which in turn implies metrics.
 std::atomic<bool> g_trace_enabled{envTruthy("MRQ_TRACE") ||
-                                  envTruthy("MRQ_PROFILE") ||
                                   envSet("MRQ_TRACE_OUT")};
 std::atomic<bool> g_metrics_enabled{
     envSet("MRQ_METRICS_OUT") ||
@@ -205,25 +205,6 @@ formatDouble(double v)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
-}
-
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-            continue;
-        }
-        out.push_back(c);
-    }
-    return out;
 }
 
 } // namespace

@@ -17,7 +17,6 @@
 
 #include "obs/sampler.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -29,18 +28,13 @@
 #include <mutex>
 #include <thread>
 
-#include <cxxabi.h>
-#include <dlfcn.h>
 #include <execinfo.h>
 #include <pthread.h>
 #include <sys/time.h>
 
-#include "kernels/isa.hpp"
 #include "kernels/roofline.hpp"
-#include "obs/atomic_file.hpp"
 #include "obs/env.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/manifest.hpp"
 #include "obs/trace.hpp"
 
 namespace mrq {
@@ -90,38 +84,11 @@ std::atomic<bool> g_handler_installed{false};
 
 std::int64_t g_period_ns = 0; // set in startSampler (serial)
 
-/** Aggregation key: where the samples landed. */
-struct StackKey
-{
-    std::string thread;
-    int pathId = 0;
-    int kernel = -1;
-    std::vector<std::uintptr_t> pcs;
-
-    bool
-    operator<(const StackKey& o) const
-    {
-        if (thread != o.thread)
-            return thread < o.thread;
-        if (pathId != o.pathId)
-            return pathId < o.pathId;
-        if (kernel != o.kernel)
-            return kernel < o.kernel;
-        return pcs < o.pcs;
-    }
-};
-
-std::mutex g_agg_mutex;
-std::map<StackKey, std::int64_t> g_agg; // -> sample count
-
 std::thread g_drainer;
 std::mutex g_drain_mutex; // serializes drainOnce callers
 std::mutex g_drain_cv_mutex;
 std::condition_variable g_drain_cv;
 bool g_drain_stop = false;
-
-std::mutex g_sym_mutex;
-std::map<std::uintptr_t, std::string> g_sym_cache;
 
 /** Retires this thread's slot at thread exit; the ring stays
  *  drainable until reclaimed.  Instantiated from normal context only
@@ -260,7 +227,7 @@ drainOnce()
             std::lock_guard<std::mutex> lock(g_slot_mutex);
             name = slot.name;
         }
-        std::lock_guard<std::mutex> agg_lock(g_agg_mutex);
+        StackAggregate& agg = stackAggregate(ProfileKind::Cpu);
         for (; r != w; ++r) {
             const Sample& s = slot.ring[r % kSampleRingCap];
             StackKey key;
@@ -271,7 +238,7 @@ drainOnce()
             for (std::uint16_t i = 0; i < s.nframes; ++i)
                 key.pcs.push_back(
                     reinterpret_cast<std::uintptr_t>(s.pc[i]));
-            g_agg[std::move(key)] += 1;
+            agg.add(std::move(key), g_period_ns);
             ++total;
         }
         slot.reads.store(w, std::memory_order_release);
@@ -312,101 +279,6 @@ drainLoop()
         if (++tick % 10 == 0)
             checkpointThreadTimes();
     }
-}
-
-/** Demangled symbol for @p pc via dladdr ("0x..." fallback); cached —
- *  emission context only (allocates, locks). */
-std::string
-symbolize(std::uintptr_t pc)
-{
-    std::lock_guard<std::mutex> lock(g_sym_mutex);
-    auto it = g_sym_cache.find(pc);
-    if (it != g_sym_cache.end())
-        return it->second;
-    std::string out;
-    Dl_info info;
-    if (dladdr(reinterpret_cast<void*>(pc), &info) != 0 &&
-        info.dli_sname != nullptr) {
-        int status = 0;
-        char* dem = abi::__cxa_demangle(info.dli_sname, nullptr,
-                                        nullptr, &status);
-        if (status == 0 && dem != nullptr) {
-            out = dem;
-            // Drop the argument list: folded stacks and diff keys
-            // want one frame name, not a signature.
-            const std::size_t paren = out.find('(');
-            if (paren != std::string::npos && paren > 0)
-                out.resize(paren);
-        } else {
-            out = info.dli_sname;
-        }
-        std::free(dem);
-    }
-    if (out.empty()) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "0x%llx",
-                      static_cast<unsigned long long>(pc));
-        out = buf;
-    }
-    g_sym_cache.emplace(pc, out);
-    return out;
-}
-
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/** Kernel-family slug for a sample tag (-1 / out of range -> ""). */
-const char*
-kernelSlug(int tag)
-{
-    if (tag < 0 || tag >= static_cast<int>(kernels::kKernelCount))
-        return "";
-    return kernels::kernelCost(static_cast<kernels::KernelId>(tag))
-        .slug;
-}
-
-/** "{run}" placeholder substitution (same contract as
- *  MRQ_TRACE_OUT's resolveTraceOutPath). */
-std::string
-replaceRun(std::string path, const std::string& run)
-{
-    const std::string placeholder = "{run}";
-    const std::size_t at = path.find(placeholder);
-    if (at != std::string::npos)
-        path.replace(at, placeholder.size(), run);
-    return path;
 }
 
 } // namespace
@@ -457,7 +329,12 @@ startSampler()
     (void)traceEnabled();
     (void)currentTracePathId();
     ensureSlot();
-    g_period_ns = 1000000000LL / samplerHz();
+    // A profile has one period: samples aggregated at another rate
+    // would break weight = count * period_ns.
+    const std::int64_t period = 1000000000LL / samplerHz();
+    if (period != g_period_ns)
+        stackAggregate(ProfileKind::Cpu).clear();
+    g_period_ns = period;
     if (!g_handler_installed.load(std::memory_order_acquire)) {
         struct sigaction sa;
         std::memset(&sa, 0, sizeof sa);
@@ -561,195 +438,45 @@ resetSamplerProfile()
                 std::memory_order_release);
         }
     }
-    {
-        std::lock_guard<std::mutex> lock(g_agg_mutex);
-        g_agg.clear();
-    }
+    stackAggregate(ProfileKind::Cpu).clear();
     g_samples.store(0, std::memory_order_relaxed);
     g_dropped.store(0, std::memory_order_relaxed);
     resetThreadTime();
 }
 
-std::vector<SampleStack>
+std::vector<ProfileStack>
 samplerStacks()
 {
     drainOnce();
-    std::map<StackKey, std::int64_t> agg;
-    {
-        std::lock_guard<std::mutex> lock(g_agg_mutex);
-        agg = g_agg;
-    }
-    std::vector<SampleStack> out;
-    out.reserve(agg.size());
-    for (const auto& kv : agg) {
-        SampleStack s;
-        s.thread = kv.first.thread;
-        s.span = tracePathString(kv.first.pathId);
-        s.kernel = kernelSlug(kv.first.kernel);
-        s.count = kv.second;
-        s.frames.reserve(kv.first.pcs.size());
-        for (std::uintptr_t pc : kv.first.pcs)
-            s.frames.push_back(symbolize(pc));
-        out.push_back(std::move(s));
-    }
-    std::sort(out.begin(), out.end(),
-              [](const SampleStack& a, const SampleStack& b) {
-                  if (a.count != b.count)
-                      return a.count > b.count;
-                  if (a.thread != b.thread)
-                      return a.thread < b.thread;
-                  if (a.span != b.span)
-                      return a.span < b.span;
-                  if (a.kernel != b.kernel)
-                      return a.kernel < b.kernel;
-                  return a.frames < b.frames;
-              });
-    return out;
-}
-
-std::string
-sampleProfileJsonl()
-{
-    const std::vector<SampleStack> stacks = samplerStacks();
-    const std::vector<ThreadTime> times = threadTimeBreakdown();
-    const std::int64_t period = samplePeriodNs();
-    std::int64_t total = 0;
-    for (const SampleStack& s : stacks)
-        total += s.count;
-    std::string out;
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "{\"type\": \"sample_profile\", \"version\": %d, "
-                  "\"hz\": %ld, \"period_ns\": %lld, ",
-                  kSampleProfileVersion, samplerHz(),
-                  static_cast<long long>(period));
-    out += buf;
-    out += "\"isa\": \"" +
-           jsonEscape(kernels::isaName(kernels::activeIsa())) +
-           "\", \"git\": \"" + jsonEscape(buildGitDescribe()) + "\"";
-    std::snprintf(buf, sizeof buf,
-                  ", \"samples\": %lld, \"dropped\": %lld}\n",
-                  static_cast<long long>(total),
-                  static_cast<long long>(samplerDroppedSamples()));
-    out += buf;
-    for (const ThreadTime& t : times) {
-        out += "{\"type\": \"thread_time\", \"thread\": \"" +
-               jsonEscape(t.name) + "\"";
-        std::snprintf(buf, sizeof buf,
-                      ", \"busy_ns\": %lld, \"queue_wait_ns\": %lld, "
-                      "\"idle_ns\": %lld}\n",
-                      static_cast<long long>(t.busyNs),
-                      static_cast<long long>(t.queueWaitNs),
-                      static_cast<long long>(t.idleNs));
-        out += buf;
-    }
-    for (const SampleStack& s : stacks) {
-        out += "{\"type\": \"sample_stack\", \"thread\": \"" +
-               jsonEscape(s.thread) + "\", \"span\": \"" +
-               jsonEscape(s.span) + "\", \"kernel\": \"" +
-               jsonEscape(s.kernel) + "\"";
-        std::snprintf(buf, sizeof buf,
-                      ", \"count\": %lld, \"self_ns\": %lld, "
-                      "\"frames\": [",
-                      static_cast<long long>(s.count),
-                      static_cast<long long>(s.count * period));
-        out += buf;
-        for (std::size_t i = 0; i < s.frames.size(); ++i) {
-            if (i > 0)
-                out += ", ";
-            out += "\"" + jsonEscape(s.frames[i]) + "\"";
-        }
-        out += "]}\n";
-    }
-    std::snprintf(buf, sizeof buf,
-                  "{\"type\": \"sample_profile_end\", \"stacks\": "
-                  "%zu, \"samples\": %lld}\n",
-                  stacks.size(), static_cast<long long>(total));
-    out += buf;
-    return out;
-}
-
-std::string
-sampleFoldedStacks()
-{
-    const std::vector<SampleStack> stacks = samplerStacks();
-    const std::int64_t period = samplePeriodNs();
-    std::map<std::string, std::int64_t> folded;
-    for (const SampleStack& s : stacks) {
-        std::string line;
-        // Span path components first (root-first), then symbol
-        // frames outermost-first — same orientation as foldedStacks.
-        std::string span = s.span;
-        std::size_t start = 0;
-        while (start < span.size()) {
-            std::size_t slash = span.find('/', start);
-            if (slash == std::string::npos)
-                slash = span.size();
-            if (slash > start) {
-                if (!line.empty())
-                    line += ';';
-                line += span.substr(start, slash - start);
-            }
-            start = slash + 1;
-        }
-        for (std::size_t i = s.frames.size(); i-- > 0;) {
-            if (!line.empty())
-                line += ';';
-            line += s.frames[i];
-        }
-        if (line.empty())
-            line = "??";
-        folded[line] += s.count * period;
-    }
-    std::string out;
-    char buf[32];
-    for (const auto& kv : folded) {
-        out += kv.first;
-        std::snprintf(buf, sizeof buf, " %lld\n",
-                      static_cast<long long>(kv.second));
-        out += buf;
-    }
-    return out;
+    return profileStacks(stackAggregate(ProfileKind::Cpu).copy());
 }
 
 bool
 writeSampleProfile(const std::string& path)
 {
-    if (path.empty())
-        return false;
-    AtomicFile af(path);
-    std::FILE* f = af.stream();
-    if (f == nullptr)
-        return false;
-    const std::string doc = sampleProfileJsonl();
-    if (!doc.empty())
-        std::fwrite(doc.data(), 1, doc.size(), f);
-    const bool clean = std::ferror(f) == 0;
-    return af.commit() && clean;
+    ProfileDoc doc;
+    doc.kind = ProfileKind::Cpu;
+    doc.stacks = samplerStacks();
+    std::int64_t samples = 0;
+    for (const ProfileStack& s : doc.stacks)
+        samples += s.count;
+    doc.totals = {{"hz", samplerHz()},
+                  {"period_ns", samplePeriodNs()},
+                  {"samples", samples},
+                  {"dropped", samplerDroppedSamples()}};
+    for (const ThreadTime& t : threadTimeBreakdown())
+        doc.threads.push_back({t.name,
+                               {{"busy_ns", t.busyNs},
+                                {"queue_wait_ns", t.queueWaitNs},
+                                {"idle_ns", t.idleNs}}});
+    return writeStackProfile(path, doc);
 }
 
 bool
 flushSampleProfile(const std::string& run)
 {
-    bool ok = true;
     const std::string out = sampleOutPath();
-    if (!out.empty())
-        ok = writeSampleProfile(replaceRun(out, run)) && ok;
-    const std::string folded = envValue("MRQ_SAMPLE_FOLDED", "");
-    if (!folded.empty()) {
-        AtomicFile af(replaceRun(folded, run));
-        std::FILE* f = af.stream();
-        if (f == nullptr) {
-            ok = false;
-        } else {
-            const std::string doc = sampleFoldedStacks();
-            if (!doc.empty())
-                std::fwrite(doc.data(), 1, doc.size(), f);
-            const bool clean = std::ferror(f) == 0;
-            ok = (af.commit() && clean) && ok;
-        }
-    }
-    return ok;
+    return out.empty() || writeSampleProfile(resolveRunPath(out, run));
 }
 
 // ---- Off-CPU accounting -------------------------------------------
@@ -873,12 +600,6 @@ resetThreadTime()
             ns.store(0, std::memory_order_relaxed);
         slot.curSince.store(now, std::memory_order_relaxed);
     }
-}
-
-std::string
-symbolizePc(std::uintptr_t pc)
-{
-    return symbolize(pc);
 }
 
 // ---- Signal interplay / test hooks --------------------------------

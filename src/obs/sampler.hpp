@@ -2,8 +2,8 @@
  * @file
  * Statistical sampling profiler with off-CPU accounting.
  *
- * The span profiler (obs/profile.hpp) only sees code someone wrapped
- * in a TraceSpan; the sampler sees everything.  A SIGPROF timer
+ * Trace spans only see code someone wrapped in a TraceSpan; the
+ * sampler sees everything.  A SIGPROF timer
  * (ITIMER_PROF at MRQ_SAMPLE_HZ, default 97 Hz — prime, so it cannot
  * phase-lock with 10ms scheduler ticks) interrupts whichever thread
  * is burning CPU; the handler captures a frame-pointer backtrace plus
@@ -16,30 +16,27 @@
  * libgcc with malloc on first use).
  *
  * A background drain thread (SIGPROF blocked, so it never pollutes
- * the profile) empties the rings every ~100ms and aggregates samples
- * by (thread, span path, kernel, stack).  Symbolization via dladdr —
- * which would be slow and allocation-happy in the handler — happens
- * only at emission time, over a PC -> symbol cache.
+ * the profile) empties the rings every ~100ms into the CPU stack
+ * aggregate of obs/stack_profile.hpp, keyed by (thread, span path,
+ * kernel, stack) and weighted by the sampling period.  Symbolization
+ * — slow and allocation-happy, never in the handler — happens only at
+ * emission time.
  *
  * Off-CPU accounting rides the same module: the thread pool reports
  * busy / queue-wait / idle transitions through noteThreadState /
  * noteThreadBusy, so each worker's wall clock decomposes into
  * on-CPU and two flavours of off-CPU time.  The breakdown feeds the
- * stats endpoint (obs/exposition.hpp) and periodic flight-recorder
- * checkpoints ("tstate.<thread>" metric events).
+ * stats endpoint (obs/exposition.hpp), periodic flight-recorder
+ * checkpoints ("tstate.<thread>" metric events) and the profile's
+ * thread rows.
  *
- * Output is a versioned JSONL sample profile (MRQ_SAMPLE_OUT, atomic
- * tmp+rename via obs/atomic_file.hpp; "{run}" placeholder substituted
- * like MRQ_TRACE_OUT) plus folded stacks (MRQ_SAMPLE_FOLDED) in the
- * same "a;b;c <ns>" format as MRQ_PROFILE_OUT, so the two profilers
- * share flamegraph tooling.  tools/check_sample_schema.py validates
- * the JSONL; tools/profile_diff.py ranks per-stack deltas between two
- * profiles.  Sample data is wall-clock and shares the timeline's
- * exemption from the JSONL determinism contract.
+ * Output is a kind "cpu" stack profile (MRQ_SAMPLE_OUT, schema and
+ * tools in obs/stack_profile.hpp; "{run}" placeholder substituted
+ * like MRQ_TRACE_OUT).
  *
  * Knobs: MRQ_SAMPLE=1 enables (MRQ_SAMPLE_OUT implies it),
  * MRQ_SAMPLE_HZ overrides the rate (clamped to [1, 10000]),
- * MRQ_SAMPLE_OUT / MRQ_SAMPLE_FOLDED name the sinks.
+ * MRQ_SAMPLE_OUT names the sink.
  */
 
 #ifndef MRQ_OBS_SAMPLER_HPP
@@ -51,12 +48,10 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/stack_profile.hpp"
 
 namespace mrq {
 namespace obs {
-
-/** Sample-profile JSONL schema version (header "version" field). */
-constexpr int kSampleProfileVersion = 1;
 
 /** Default sampling rate; prime so it cannot alias the scheduler. */
 constexpr long kSampleDefaultHz = 97;
@@ -117,35 +112,17 @@ std::int64_t samplerDroppedSamples();
  *  the bench harness calls this per case.  Serial context only. */
 void resetSamplerProfile();
 
-/** One aggregated stack of the sample profile. */
-struct SampleStack
-{
-    std::string thread;      ///< Flight name of the sampled thread.
-    std::string span;        ///< Slash-joined span path ("" = none).
-    std::string kernel;      ///< Kernel-family slug ("" = none).
-    std::int64_t count = 0;  ///< Samples landing on this stack.
-    /** Symbolized frames, innermost first (mangled; hex when the PC
-     *  has no dynamic symbol). */
-    std::vector<std::string> frames;
-};
+/** Drain the rings and return the aggregated stacks, heaviest first
+ *  (obs::profileStacks order; weight = count * samplePeriodNs()). */
+std::vector<ProfileStack> samplerStacks();
 
-/** Drain the rings and return the aggregated stacks, hottest first
- *  (ties broken lexicographically for determinism). */
-std::vector<SampleStack> samplerStacks();
-
-/** The full JSONL sample-profile document (header, thread_time rows,
- *  sample_stack rows, end line). */
-std::string sampleProfileJsonl();
-
-/** Folded stacks ("span;frames... <count * period_ns>"), root-first,
- *  merged across threads — MRQ_PROFILE_OUT-compatible. */
-std::string sampleFoldedStacks();
-
-/** Write the JSONL profile to @p path via AtomicFile. */
+/** Write the kind "cpu" profile (totals: hz, period_ns, samples,
+ *  dropped; thread rows: busy_ns, queue_wait_ns, idle_ns) to @p path
+ *  via AtomicFile. */
 bool writeSampleProfile(const std::string& path);
 
-/** Flush MRQ_SAMPLE_OUT / MRQ_SAMPLE_FOLDED (with "{run}" replaced
- *  by @p run).  True when nothing was lost. */
+/** Write MRQ_SAMPLE_OUT (with "{run}" replaced by @p run).  True when
+ *  nothing was lost. */
 bool flushSampleProfile(const std::string& run);
 
 // ---- Off-CPU accounting -------------------------------------------
@@ -195,12 +172,6 @@ std::vector<ThreadTime> threadTimeBreakdown();
 /** Zero the accumulators (serial context; resetSamplerProfile calls
  *  this too). */
 void resetThreadTime();
-
-/** Demangled symbol name for @p pc via dladdr ("0x..." when the PC
- *  has no dynamic symbol), served from the sampler's PC -> symbol
- *  cache.  Emission context only (allocates, locks); shared by the
- *  heap profiler (obs/heap_profiler.hpp). */
-std::string symbolizePc(std::uintptr_t pc);
 
 // ---- Signal interplay / test hooks --------------------------------
 

@@ -12,6 +12,7 @@
 #include "obs/atomic_file.hpp"
 #include "obs/env.hpp"
 #include "obs/metrics.hpp"
+#include "obs/stack_profile.hpp"
 #include "obs/trace.hpp"
 
 namespace mrq {
@@ -120,25 +121,6 @@ table()
 {
     static RingTable tbl;
     return tbl;
-}
-
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-            continue;
-        }
-        out.push_back(c);
-    }
-    return out;
 }
 
 /** Nanoseconds -> trace-event microseconds with sub-µs precision. */

@@ -3,14 +3,16 @@
  * Bench-harness tests: robust statistics on known sequences, label
  * slugification, BENCH_*.json schema round-trips, quick-tier
  * determinism of the registered-case runner (two runs identical
- * modulo timing), metrics-snapshot capture, require() failure
- * propagation, and the tools/bench_compare.py exit-code contract.
+ * modulo timing), metrics-snapshot capture, require() and lost-sink
+ * failure propagation, and the exit-code contracts of
+ * tools/bench_compare.py and tools/profile_diff.py.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -385,6 +387,26 @@ TEST(BenchRunner, FailedRequireFailsTheSuite)
                      0.0);
 }
 
+TEST(BenchRunner, LostPerCaseSinkFailsTheSuite)
+{
+    // A sample-profile path under a regular file can never be
+    // created: the case's profile is lost, and the suite's exit says
+    // so even though every case passed.
+    const std::string blocker = tempPath("bench_runner_blocker");
+    {
+        std::ofstream out(blocker);
+        out << "not a directory\n";
+    }
+    ::setenv("MRQ_SAMPLE_OUT", (blocker + "/{run}.jsonl").c_str(), 1);
+    BenchReport parsed;
+    runAndParseInto(&parsed, tempPath("bench_runner_lost.json"),
+                    "ztest_synthetic", 1);
+    ::unsetenv("MRQ_SAMPLE_OUT");
+    std::remove(blocker.c_str());
+    ASSERT_EQ(parsed.cases.size(), 1u);
+    EXPECT_FALSE(parsed.cases[0].failed);
+}
+
 TEST(BenchRunner, NoMatchingCasesIsAnError)
 {
     RunnerOptions opts =
@@ -465,36 +487,104 @@ TEST(BenchCompare, CheckResourcesGatesHeapGrowthButNotAbsence)
 
 TEST(BenchCompare, TruncatedProfileDowngradesToDiagnostic)
 {
-    // profile_diff.py and heap_diff.py must exit 2 with a diagnostic
-    // (not a traceback) on empty or truncated inputs; bench_compare
-    // treats that as "attribution unavailable", not a gate failure.
+    // profile_diff.py must exit 2 with a diagnostic (not a traceback)
+    // on empty, truncated or mismatched (cpu vs heap) inputs of either
+    // kind; bench_compare treats that as "attribution unavailable",
+    // not a gate failure of its own.
     if (std::system("python3 --version > /dev/null 2>&1") != 0)
         GTEST_SKIP() << "python3 not available";
     const std::string dir = std::string(::testing::TempDir());
-    const std::string empty = dir + "bench_cmp_empty.jsonl";
-    const std::string truncated = dir + "bench_cmp_truncated.jsonl";
-    { std::ofstream out(empty); }
-    {
-        std::ofstream out(truncated);
-        out << "{\"type\": \"alloc_stack\", \"span\": \"\", "
-               "\"kernel\": \"\", \"bytes\": 1, \"count\": 1, "
-               "\"frames\": []}\n";
-    }
-    for (const char* tool : {"profile_diff.py", "heap_diff.py"}) {
-        const std::string path =
-            std::string(MRQ_SOURCE_DIR) + "/tools/" + tool;
-        for (const std::string& bad : {empty, truncated}) {
-            const int rc = std::system(("python3 " + path + " " + bad +
-                                        " " + bad +
-                                        " > /dev/null 2>&1")
-                                           .c_str());
-            ASSERT_TRUE(WIFEXITED(rc)) << tool;
-            EXPECT_EQ(WEXITSTATUS(rc), 2)
-                << tool << " on " << bad
-                << ": want the documented usage/parse exit, not a "
-                   "traceback (1)";
-        }
-    }
+    const std::string cpu_header =
+        "{\"type\": \"stack_profile\", \"version\": 2, \"kind\": "
+        "\"cpu\", \"unit\": \"ns\", \"isa\": \"generic\", \"git\": "
+        "\"t\", \"hz\": 100, \"period_ns\": 10000000, \"samples\": 1, "
+        "\"dropped\": 0}\n";
+    const std::string cpu_stack =
+        "{\"type\": \"stack\", \"thread\": \"main\", \"span\": \"\", "
+        "\"kernel\": \"\", \"count\": 1, \"weight\": 10000000, "
+        "\"frames\": [\"f\"]}\n";
+    const std::string cpu_end = "{\"type\": \"stack_profile_end\", "
+                                "\"stacks\": 1, \"count\": 1, "
+                                "\"weight\": 10000000}\n";
+    const std::string heap_header =
+        "{\"type\": \"stack_profile\", \"version\": 2, \"kind\": "
+        "\"heap\", \"unit\": \"bytes\", \"isa\": \"generic\", \"git\": "
+        "\"t\", \"interval_bytes\": 4096, \"samples\": 1, "
+        "\"sampled_bytes\": 4096, \"current_bytes\": 0, "
+        "\"peak_bytes\": 4096, \"alloc_count\": 1, \"alloc_bytes\": "
+        "4096, \"free_count\": 0, \"free_bytes\": 0, "
+        "\"guard_violations\": 0}\n";
+    const std::string heap_stack =
+        "{\"type\": \"stack\", \"thread\": \"\", \"span\": \"\", "
+        "\"kernel\": \"\", \"count\": 1, \"weight\": 4096, "
+        "\"frames\": [\"f\"]}\n";
+    const std::string heap_end = "{\"type\": \"stack_profile_end\", "
+                                 "\"stacks\": 1, \"count\": 1, "
+                                 "\"weight\": 4096}\n";
+    const auto write = [&](const std::string& name,
+                           const std::string& text) {
+        const std::string path = dir + "bench_cmp_" + name + ".jsonl";
+        std::ofstream(path) << text;
+        return path;
+    };
+    const std::string cpu = write("cpu", cpu_header + cpu_stack + cpu_end);
+    const std::string heap =
+        write("heap", heap_header + heap_stack + heap_end);
+    const std::string tool =
+        std::string(MRQ_SOURCE_DIR) + "/tools/profile_diff.py";
+    const auto diff = [&](const std::string& a, const std::string& b) {
+        const int rc = std::system(("python3 " + tool + " " + a + " " +
+                                    b + " > /dev/null 2>&1")
+                                       .c_str());
+        return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+    };
+    // Sanity: well-formed self-diffs are clean.
+    EXPECT_EQ(diff(cpu, cpu), 0);
+    EXPECT_EQ(diff(heap, heap), 0);
+    const std::pair<std::string, std::string> bad[] = {
+        {write("empty", ""), "empty file"},
+        {write("cpu_header_only", cpu_header), "empty cpu profile"},
+        {write("heap_header_only", heap_header), "empty heap profile"},
+        {write("cpu_truncated", cpu_header + cpu_stack),
+         "truncated cpu profile"},
+        {write("heap_truncated", heap_header + heap_stack),
+         "truncated heap profile"},
+        {write("headless", heap_stack + heap_end), "lost header"},
+    };
+    for (const auto& [path, what] : bad)
+        EXPECT_EQ(diff(path, path), 2)
+            << what << ": want the documented parse exit, not a "
+                       "traceback (1) or a clean diff";
+    EXPECT_EQ(diff(cpu, heap), 2) << "cpu vs heap must not diff";
+    EXPECT_EQ(diff(heap, cpu), 2) << "heap vs cpu must not diff";
+
+    // A tripped timing gate whose profiles cannot be diffed still
+    // fails on the gate, with an "attribution unavailable" note.
+    const std::string base_dir = dir + "bench_cmp_prof_base";
+    const std::string cur_dir = dir + "bench_cmp_prof_cur";
+    std::filesystem::create_directories(base_dir);
+    std::filesystem::create_directories(cur_dir);
+    std::ofstream(base_dir + "/sample_case.jsonl") << cpu_header;
+    std::ofstream(cur_dir + "/sample_case.jsonl")
+        << cpu_header + cpu_stack + cpu_end;
+    const std::string base = tempPath("bench_cmp_attr_base.json");
+    const std::string slow = tempPath("bench_cmp_attr_slow.json");
+    BenchReport report = makeSampleReport();
+    ASSERT_TRUE(report.write(base));
+    report.cases[0].wallMs = robustStats({900.0, 900.0, 900.0});
+    ASSERT_TRUE(report.write(slow));
+    const std::string log = tempPath("bench_cmp_attr.log");
+    const int rc = std::system(
+        ("python3 " + std::string(MRQ_SOURCE_DIR) +
+         "/tools/bench_compare.py --check-timing --samples-base=" +
+         base_dir + " --samples-cur=" + cur_dir + " " + base + " " +
+         slow + " > " + log + " 2>&1")
+            .c_str());
+    ASSERT_TRUE(WIFEXITED(rc));
+    EXPECT_EQ(WEXITSTATUS(rc), 1) << readFile(log);
+    EXPECT_NE(readFile(log).find("attribution unavailable"),
+              std::string::npos)
+        << readFile(log);
 }
 
 } // namespace

@@ -3,9 +3,10 @@
  * Heap-observability tests: profiler lifecycle and env knobs, counter
  * and size-class accounting through the interposed operators,
  * span/kernel attribution of sampled allocation stacks, the JSONL
- * schema round-trip against tools/check_heap_schema.py and a
- * heap_diff.py self-diff, folded-stack output, stats-endpoint
- * exposure, and the AllocGuard no-alloc regions — counting,
+ * schema round-trip against tools/check_profile_schema.py and a
+ * profile_diff.py self-diff, the tool's folded rendering, both
+ * profilers armed at once, stats-endpoint exposure, and the
+ * AllocGuard no-alloc regions — counting,
  * dismiss(), pool inheritance, and (in the death-test suite) the
  * strict mode's attributed exit 70.
  *
@@ -28,6 +29,7 @@
 #include "obs/exposition.hpp"
 #include "obs/heap_profiler.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -47,12 +49,14 @@ pythonAvailable()
 }
 
 int
-runTool(const std::string& tool, const std::string& args)
+runTool(const std::string& tool, const std::string& args,
+        const std::string& stdout_path = "/dev/null")
 {
     const std::string path =
         std::string(MRQ_SOURCE_DIR) + "/tools/" + tool;
-    return std::system(
-        ("python3 " + path + " " + args + " > /dev/null 2>&1").c_str());
+    return std::system(("python3 " + path + " " + args + " > " +
+                        stdout_path + " 2>/dev/null")
+                           .c_str());
 }
 
 std::string
@@ -182,12 +186,12 @@ TEST(HeapProfiler, SamplesAttributeSpanAndKernel)
     obs::setTraceEnabled(prev_trace);
 
     EXPECT_GE(obs::heapSampleCount(), 4);
-    const std::vector<obs::HeapStack> stacks = obs::heapStacks();
+    const std::vector<obs::ProfileStack> stacks = obs::heapStacks();
     ASSERT_FALSE(stacks.empty());
     bool attributed = false;
-    for (const obs::HeapStack& s : stacks) {
+    for (const obs::ProfileStack& s : stacks) {
         EXPECT_GT(s.count, 0);
-        EXPECT_GT(s.bytes, 0);
+        EXPECT_GT(s.weight, 0);
         EXPECT_FALSE(s.frames.empty()) << "stack with no frames";
         if (s.span.find("heap_attr_span") != std::string::npos &&
             s.kernel == "add_row")
@@ -239,15 +243,15 @@ TEST(HeapProfiler, JsonlSchemaRoundTripAndSelfDiff)
         dir / ("mrq_heap_profile_" + std::to_string(::getpid()) +
                ".jsonl");
     ASSERT_TRUE(obs::writeHeapProfile(profile.string()));
-    EXPECT_EQ(runTool("check_heap_schema.py",
+    EXPECT_EQ(runTool("check_profile_schema.py",
                       "--require-stacks --require-span " +
                           profile.string()),
               0)
         << readAll(profile);
     // A profile diffed against itself must be all-zero.
-    EXPECT_EQ(runTool("heap_diff.py", "--expect-zero " +
-                                          profile.string() + " " +
-                                          profile.string()),
+    EXPECT_EQ(runTool("profile_diff.py", "--expect-zero " +
+                                             profile.string() + " " +
+                                             profile.string()),
               0);
     fs::remove(profile);
 }
@@ -267,8 +271,7 @@ TEST(HeapProfiler, RunPlaceholderLandsProfileUnderRunName)
     ::unsetenv("MRQ_HEAPPROF_OUT");
     EXPECT_TRUE(fs::exists(expect)) << expect;
     const std::string text = readAll(expect);
-    EXPECT_NE(text.find("\"type\": \"heap_profile\""),
-              std::string::npos)
+    EXPECT_NE(text.find("\"kind\": \"heap\""), std::string::npos)
         << text;
     fs::remove(expect);
 }
@@ -277,6 +280,8 @@ TEST(HeapProfiler, FoldedStacksCarrySpanAndByteWeight)
 {
     if (!obs::heapInterpositionActive())
         GTEST_SKIP() << "replacement operators not linked";
+    if (!pythonAvailable())
+        GTEST_SKIP() << "python3 not available";
     HeapProfGuard guard;
     ASSERT_TRUE(guard.started());
     const bool prev_trace = obs::setTraceEnabled(true);
@@ -286,8 +291,21 @@ TEST(HeapProfiler, FoldedStacksCarrySpanAndByteWeight)
         churnHeap();
     }
     obs::setTraceEnabled(prev_trace);
+    obs::stopHeapProfiler();
 
-    const std::string folded = obs::heapFoldedStacks();
+    // Folded stacks come from the diff tool's --folded rendering of
+    // the written profile.
+    const fs::path dir = fs::temp_directory_path();
+    const std::string tag = std::to_string(::getpid());
+    const fs::path profile = dir / ("mrq_heap_fold_" + tag + ".jsonl");
+    const fs::path out = dir / ("mrq_heap_fold_" + tag + ".txt");
+    ASSERT_TRUE(obs::writeHeapProfile(profile.string()));
+    ASSERT_EQ(runTool("profile_diff.py", "--folded " + profile.string(),
+                      out.string()),
+              0);
+    const std::string folded = readAll(out);
+    fs::remove(profile);
+    fs::remove(out);
     ASSERT_FALSE(folded.empty());
     EXPECT_NE(folded.find("heap_fold_outer;heap_fold_inner"),
               std::string::npos)
@@ -304,6 +322,71 @@ TEST(HeapProfiler, FoldedStacksCarrySpanAndByteWeight)
         EXPECT_GT(std::stoll(line.substr(space + 1)), 0) << line;
         start = end + 1;
     }
+}
+
+TEST(HeapProfiler, BothProfilersArmedWriteValidProfiles)
+{
+    // Pins two rules of the shared stack-profile core.  Each kind
+    // keeps its own lock: copying the CPU aggregate allocates while
+    // holding the CPU lock, and the heap sample that allocation takes
+    // needs the heap lock.  The heap copy runs with its hook
+    // suppressed: a sample taken mid-copy would re-enter the heap
+    // lock on the copying thread and deadlock.  64 distinct span
+    // paths per kind make each copy allocate more than the 4 KiB
+    // interval.  Without interposition only the CPU half runs.
+    if (!pythonAvailable())
+        GTEST_SKIP() << "python3 not available";
+    constexpr std::size_t kSpans = 64;
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (std::size_t i = 0; i < kSpans; ++i)
+            out.push_back("both_armed_" + std::to_string(i));
+        return out;
+    }();
+    const bool heap = obs::heapInterpositionActive();
+    ASSERT_TRUE(obs::startSampler());
+    obs::resetSamplerProfile();
+    HeapProfGuard heap_guard;
+    ASSERT_EQ(heap_guard.started(), heap);
+    const bool prev_trace = obs::setTraceEnabled(true);
+    ThreadPool::instance().resize(3);
+    parallelFor(kSpans, 1, [](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+            obs::TraceSpan span(names[i].c_str());
+            churnHeap(1, 8 * 1024);
+        }
+    });
+    ThreadPool::instance().resize(1);
+    for (std::size_t i = 0; i < kSpans; ++i) {
+        obs::TraceSpan span(names[i].c_str());
+        ASSERT_TRUE(obs::debugSampleNow());
+    }
+    obs::setTraceEnabled(prev_trace);
+
+    const fs::path dir = fs::temp_directory_path();
+    const std::string tag = std::to_string(::getpid());
+    const fs::path cpu = dir / ("mrq_both_cpu_" + tag + ".jsonl");
+    const fs::path mem = dir / ("mrq_both_heap_" + tag + ".jsonl");
+    // Both profiles are written while both profilers are armed.
+    EXPECT_TRUE(obs::writeSampleProfile(cpu.string()));
+    if (heap) {
+        EXPECT_TRUE(obs::writeHeapProfile(mem.string()));
+    }
+    obs::stopSampler();
+    obs::resetSamplerProfile();
+
+    EXPECT_EQ(runTool("check_profile_schema.py",
+                      "--require-stacks " + cpu.string()),
+              0)
+        << readAll(cpu);
+    if (heap) {
+        EXPECT_EQ(runTool("check_profile_schema.py",
+                          "--require-stacks " + mem.string()),
+                  0)
+            << readAll(mem);
+    }
+    fs::remove(cpu);
+    fs::remove(mem);
 }
 
 TEST(HeapProfiler, StatsEndpointExposesHeapState)

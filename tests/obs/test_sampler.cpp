@@ -3,8 +3,9 @@
  * Sampling-profiler tests: lifecycle, deterministic capture via
  * debugSampleNow (raise(SIGPROF) delivers synchronously, exercising
  * exactly the handler path), span/kernel attribution, the JSONL
- * schema round-trip against tools/check_sample_schema.py and a
- * profile_diff.py self-diff, off-CPU thread-time decomposition, and
+ * schema round-trip against tools/check_profile_schema.py and a
+ * profile_diff.py self-diff, the tool's folded rendering of a CPU
+ * profile, off-CPU thread-time decomposition, and
  * — in the SamplerDeathTest suite, excluded from the TSan leg — a
  * crash landing mid-sampling that must still produce a schema-valid
  * post-mortem (SIGPROF is masked inside the dump path).
@@ -44,12 +45,14 @@ pythonAvailable()
 }
 
 int
-runTool(const std::string& tool, const std::string& args)
+runTool(const std::string& tool, const std::string& args,
+        const std::string& stdout_path = "/dev/null")
 {
     const std::string path =
         std::string(MRQ_SOURCE_DIR) + "/tools/" + tool;
-    return std::system(
-        ("python3 " + path + " " + args + " > /dev/null 2>&1").c_str());
+    return std::system(("python3 " + path + " " + args + " > " +
+                        stdout_path + " 2>/dev/null")
+                           .c_str());
 }
 
 std::string
@@ -146,10 +149,10 @@ TEST(Sampler, DebugSamplesAttributeSpanAndKernel)
     obs::setTraceEnabled(prev_trace);
 
     EXPECT_GE(obs::samplerSampleCount(), 32);
-    const std::vector<obs::SampleStack> stacks = obs::samplerStacks();
+    const std::vector<obs::ProfileStack> stacks = obs::samplerStacks();
     ASSERT_FALSE(stacks.empty());
     bool attributed = false;
-    for (const obs::SampleStack& s : stacks) {
+    for (const obs::ProfileStack& s : stacks) {
         EXPECT_GT(s.count, 0);
         EXPECT_FALSE(s.frames.empty()) << "stack with no frames";
         if (s.span.find("sampler_attr_span") != std::string::npos &&
@@ -162,7 +165,7 @@ TEST(Sampler, DebugSamplesAttributeSpanAndKernel)
     // kernel.
     obs::resetSamplerProfile();
     captureSamples(4);
-    for (const obs::SampleStack& s : obs::samplerStacks())
+    for (const obs::ProfileStack& s : obs::samplerStacks())
         EXPECT_EQ(s.kernel, "") << "stale kernel tag after region";
 }
 
@@ -195,6 +198,8 @@ TEST(Sampler, ForcedSampleWorksWithTimerOff)
 
 TEST(Sampler, FoldedStacksCarrySpanAndWeight)
 {
+    if (!pythonAvailable())
+        GTEST_SKIP() << "python3 not available";
     SamplerGuard guard;
     ASSERT_TRUE(guard.started());
     obs::resetSamplerProfile();
@@ -206,7 +211,19 @@ TEST(Sampler, FoldedStacksCarrySpanAndWeight)
     }
     obs::setTraceEnabled(prev_trace);
 
-    const std::string folded = obs::sampleFoldedStacks();
+    // Folded stacks come from the diff tool's --folded rendering of
+    // the written profile.
+    const fs::path dir = fs::temp_directory_path();
+    const std::string tag = std::to_string(::getpid());
+    const fs::path profile = dir / ("mrq_sample_fold_" + tag + ".jsonl");
+    const fs::path out = dir / ("mrq_sample_fold_" + tag + ".txt");
+    ASSERT_TRUE(obs::writeSampleProfile(profile.string()));
+    ASSERT_EQ(runTool("profile_diff.py", "--folded " + profile.string(),
+                      out.string()),
+              0);
+    const std::string folded = readAll(out);
+    fs::remove(profile);
+    fs::remove(out);
     ASSERT_FALSE(folded.empty());
     EXPECT_NE(folded.find("sampler_fold_outer;sampler_fold_inner"),
               std::string::npos)
@@ -249,7 +266,7 @@ TEST(Sampler, JsonlSchemaRoundTripAndSelfDiff)
         dir / ("mrq_sample_profile_" + std::to_string(::getpid()) +
                ".jsonl");
     ASSERT_TRUE(obs::writeSampleProfile(profile.string()));
-    EXPECT_EQ(runTool("check_sample_schema.py",
+    EXPECT_EQ(runTool("check_profile_schema.py",
                       "--require-stacks --require-kernel " +
                           profile.string()),
               0)
@@ -276,8 +293,7 @@ TEST(Sampler, RunPlaceholderLandsProfileUnderRunName)
     ::unsetenv("MRQ_SAMPLE_OUT");
     EXPECT_TRUE(fs::exists(expect)) << expect;
     const std::string text = readAll(expect);
-    EXPECT_NE(text.find("\"type\": \"sample_profile\""),
-              std::string::npos)
+    EXPECT_NE(text.find("\"kind\": \"cpu\""), std::string::npos)
         << text;
     fs::remove(expect);
 }

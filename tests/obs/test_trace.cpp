@@ -1,7 +1,8 @@
 /**
  * @file
- * Trace-span tests: nesting paths, inheritance across thread-pool
- * chunks, and disabled-mode inertness.
+ * Trace-span tests: nesting paths, per-path counts and totals under
+ * serial nesting, inheritance across thread-pool chunks, and
+ * disabled-mode inertness.
  */
 
 #include <gtest/gtest.h>
@@ -37,12 +38,14 @@ class TraceTestGuard
 
 bool
 hasTiming(const obs::Snapshot& snap, const std::string& name,
-          std::int64_t* count = nullptr)
+          std::int64_t* count = nullptr, std::int64_t* total_ns = nullptr)
 {
     for (const auto& tv : snap.timings)
         if (tv.name == name) {
             if (count != nullptr)
                 *count = tv.t.count;
+            if (total_ns != nullptr)
+                *total_ns = tv.t.totalNs;
             return true;
         }
     return false;
@@ -71,6 +74,53 @@ TEST(Trace, NestedSpansRecordFullPath)
     EXPECT_EQ(count, 1);
     EXPECT_TRUE(hasTiming(snap, "span:a/b", &count));
     EXPECT_EQ(count, 1);
+}
+
+TEST(Trace, SerialNestingConservesCountsAndTotals)
+{
+    TraceTestGuard guard(true, true);
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+    reg.reset();
+
+    // root{a{leaf}, a, b} x3 plus a second root: a repeated sibling
+    // name is one path, and every closure counts once.
+    for (int rep = 0; rep < 3; ++rep) {
+        obs::TraceSpan root("nest_root");
+        {
+            obs::TraceSpan a("nest_a");
+            MRQ_TRACE_SPAN("nest_leaf");
+            volatile int sink = 0;
+            for (int i = 0; i < 1000; ++i)
+                sink += i;
+        }
+        {
+            obs::TraceSpan a2("nest_a");
+        }
+        {
+            obs::TraceSpan b("nest_b");
+        }
+    }
+    {
+        obs::TraceSpan other("nest_other_root");
+    }
+
+    const obs::Snapshot snap = reg.snapshot();
+    std::int64_t root_n = 0, a_n = 0, b_n = 0, leaf_n = 0, other_n = 0;
+    std::int64_t root_ns = 0, a_ns = 0, b_ns = 0, leaf_ns = 0;
+    ASSERT_TRUE(hasTiming(snap, "span:nest_root", &root_n, &root_ns));
+    ASSERT_TRUE(hasTiming(snap, "span:nest_root/nest_a", &a_n, &a_ns));
+    ASSERT_TRUE(hasTiming(snap, "span:nest_root/nest_b", &b_n, &b_ns));
+    ASSERT_TRUE(hasTiming(snap, "span:nest_root/nest_a/nest_leaf",
+                          &leaf_n, &leaf_ns));
+    ASSERT_TRUE(hasTiming(snap, "span:nest_other_root", &other_n));
+    EXPECT_EQ(root_n, 3);
+    EXPECT_EQ(a_n, 6);
+    EXPECT_EQ(b_n, 3);
+    EXPECT_EQ(leaf_n, 3);
+    EXPECT_EQ(other_n, 1);
+    // Serial nesting: children's inclusive time fits in the parent's.
+    EXPECT_LE(a_ns + b_ns, root_ns);
+    EXPECT_LE(leaf_ns, a_ns);
 }
 
 TEST(Trace, SpansInsideParallelForInheritCallerPath)

@@ -31,14 +31,13 @@ into a directory, one <case-slug>.jsonl per case), pass
 --samples-base=DIR and --samples-cur=DIR: every tripped timing gate
 then runs tools/profile_diff.py over that case's two profiles and
 prints the top stack deltas, so the CI failure names the code that
-got slower, not just the case.  A profile that is missing or
-unparsable (empty, truncated) downgrades to an "attribution
-unavailable" note — never a gate failure of its own.
-
-The same attribution exists for memory: with --heap-base=DIR and
---heap-cur=DIR (per-case heap profiles from MRQ_HEAPPROF_OUT), every
-tripped resources gate on a heap key runs tools/heap_diff.py and
-prints the top per-stack allocation deltas.
+got slower, not just the case.  The same attribution exists for
+memory: with --heap-base=DIR and --heap-cur=DIR (per-case heap
+profiles from MRQ_HEAPPROF_OUT), every tripped resources gate on a
+heap key runs the same diff over the heap profiles.  A profile that
+is missing or unparsable (empty, truncated, the wrong kind)
+downgrades to an "attribution unavailable" note — never a gate
+failure of its own.
 
 Options:
   --check-timing        enable the wall-clock regression gate
@@ -60,15 +59,13 @@ import os
 import re
 import sys
 
-import heap_diff
 import profile_diff
 
 FATAL = 1
 USAGE = 2
 
 #: Resource keys the heap profiler fills; a tripped gate on one of
-#: these is attributable via heap_diff when per-case heap profiles
-#: were recorded.
+#: these is attributable when per-case heap profiles were recorded.
 HEAP_RESOURCE_KEYS = ("alloc_bytes", "alloc_count", "peak_heap")
 
 
@@ -100,42 +97,25 @@ def slugify(label):
     return out or "value"
 
 
-def attribute_regression(case, samples_base, samples_cur):
-    """Run profile_diff over a regressed case's sample profiles and
-    return the report text, or None when either profile is absent.
-    A profile that exists but does not parse (empty, truncated,
-    mistyped fields) downgrades to an 'attribution unavailable'
-    message, never an exception."""
+def attribute_regression(case, base_dir, cur_dir):
+    """Run profile_diff over a regressed case's two profiles (sample
+    or heap) and return the report text, or None when either profile
+    is absent.  A profile that exists but does not parse (empty,
+    truncated, mistyped fields, mismatched kinds) downgrades to an
+    'attribution unavailable' message, never an exception."""
     name = slugify(case) + ".jsonl"
-    base_path = os.path.join(samples_base, name)
-    cur_path = os.path.join(samples_cur, name)
+    base_path = os.path.join(base_dir, name)
+    cur_path = os.path.join(cur_dir, name)
     if not (os.path.isfile(base_path) and os.path.isfile(cur_path)):
         return None
     try:
         base = profile_diff.load_profile(base_path)
         cur = profile_diff.load_profile(cur_path)
+        rows = profile_diff.diff_profiles(base, cur)
     except profile_diff.ProfileError as err:
         return "attribution unavailable for %s: %s" % (case, err)
-    rows = profile_diff.diff_profiles(base, cur)
     return profile_diff.format_report(rows, base_path, cur_path,
-                                      top=10)
-
-
-def attribute_heap_regression(case, heap_base, heap_cur):
-    """heap_diff counterpart of attribute_regression for tripped
-    resources gates on heap keys."""
-    name = slugify(case) + ".jsonl"
-    base_path = os.path.join(heap_base, name)
-    cur_path = os.path.join(heap_cur, name)
-    if not (os.path.isfile(base_path) and os.path.isfile(cur_path)):
-        return None
-    try:
-        base = heap_diff.load_heap_profile(base_path)
-        cur = heap_diff.load_heap_profile(cur_path)
-    except heap_diff.HeapProfileError as err:
-        return "heap attribution unavailable for %s: %s" % (case, err)
-    rows = heap_diff.diff_heap_profiles(base, cur)
-    return heap_diff.format_report(rows, base_path, cur_path, top=10)
+                                      base["kind"], base["unit"], top=10)
 
 
 class Comparison:
@@ -301,36 +281,24 @@ def main(argv):
     if cmp.regressions:
         for msg in cmp.regressions:
             print(f"REGRESSION: {msg}", file=sys.stderr)
-        # A tripped timing gate comes with attribution when both runs
-        # recorded sample profiles.
-        if (cmp.timing_regressed and opts["samples_base"] and
-                opts["samples_cur"]):
-            for case in cmp.timing_regressed:
-                report = attribute_regression(case,
-                                              opts["samples_base"],
-                                              opts["samples_cur"])
+        # Tripped timing gates name the stacks that got slower, and
+        # tripped heap-resource gates the allocating stacks, when both
+        # runs recorded the matching per-case profiles.
+        for cases, base_dir, cur_dir, what, knob in (
+                (cmp.timing_regressed, opts["samples_base"],
+                 opts["samples_cur"], "sample", "MRQ_SAMPLE_OUT"),
+                (cmp.heap_regressed, opts["heap_base"],
+                 opts["heap_cur"], "heap", "MRQ_HEAPPROF_OUT")):
+            if not (base_dir and cur_dir):
+                continue
+            for case in cases:
+                report = attribute_regression(case, base_dir, cur_dir)
                 if report is None:
-                    print(f"note: no sample profiles for {case}; "
-                          f"run with MRQ_SAMPLE_OUT for attribution",
+                    print(f"note: no {what} profiles for {case}; "
+                          f"run with {knob} for attribution",
                           file=sys.stderr)
                 else:
-                    print(f"--- attribution for {case} ---",
-                          file=sys.stderr)
-                    print(report, file=sys.stderr)
-        # Tripped heap-resource gates name the allocating stacks when
-        # both runs recorded heap profiles.
-        if (cmp.heap_regressed and opts["heap_base"] and
-                opts["heap_cur"]):
-            for case in cmp.heap_regressed:
-                report = attribute_heap_regression(case,
-                                                   opts["heap_base"],
-                                                   opts["heap_cur"])
-                if report is None:
-                    print(f"note: no heap profiles for {case}; "
-                          f"run with MRQ_HEAPPROF_OUT for attribution",
-                          file=sys.stderr)
-                else:
-                    print(f"--- heap attribution for {case} ---",
+                    print(f"--- {what} attribution for {case} ---",
                           file=sys.stderr)
                     print(report, file=sys.stderr)
         print(f"bench_compare: {len(cmp.regressions)} regression(s) "
