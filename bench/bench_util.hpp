@@ -5,11 +5,11 @@
  * figures use.  Printing and JSON reporting live in the harness
  * (bench/harness/); this header only sizes workloads.
  *
- * Every helper takes the BenchContext so the quick tier
- * (MRQ_BENCH_QUICK=1) can shrink epochs and sample counts while
- * keeping ladders, seeds and table structure identical — the quick
- * run exercises the same code paths and emits the same trajectory
- * keys, just from a smaller workload.
+ * Every helper takes the BenchContext so the quick tier (--quick)
+ * can shrink epochs and sample counts while keeping ladders, seeds
+ * and table structure identical — the quick run exercises the same
+ * code paths and emits the same trajectory keys, just from a smaller
+ * workload.
  */
 
 #ifndef MRQ_BENCH_BENCH_UTIL_HPP

@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "obs/crash_handler.hpp"
-#include "obs/env.hpp"
 #include "obs/heap_profiler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf_counters.hpp"
@@ -71,9 +70,7 @@ usage(const char* argv0)
     std::fprintf(
         stderr,
         "usage: %s [--list] [--quick] [--reps=N] [--filter=SUBSTR]\n"
-        "          [--out=PATH] [--suite=NAME]\n"
-        "env: MRQ_BENCH_QUICK=1, MRQ_BENCH_REPS=N, MRQ_BENCH_OUT=PATH,\n"
-        "     MRQ_BENCH_SUITE=NAME (argv wins over env)\n",
+        "          [--out=PATH] [--suite=NAME]\n",
         argv0 != nullptr ? argv0 : "bench");
     std::exit(2);
 }
@@ -335,13 +332,7 @@ RunnerOptions
 parseRunnerOptions(int argc, char** argv)
 {
     RunnerOptions opts;
-    opts.quick = obs::envTruthy("MRQ_BENCH_QUICK");
-    opts.repsOverride =
-        static_cast<int>(obs::envLong("MRQ_BENCH_REPS", 0));
-    opts.outPath = obs::envValue("MRQ_BENCH_OUT", "");
-    opts.suite = obs::envValue("MRQ_BENCH_SUITE", "");
-    if (opts.suite.empty())
-        opts.suite = baseSuiteName(argc > 0 ? argv[0] : nullptr);
+    opts.suite = baseSuiteName(argc > 0 ? argv[0] : nullptr);
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];

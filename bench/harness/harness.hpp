@@ -6,8 +6,9 @@
  * MRQ_BENCH_HEAVY for multi-minute training cases); the shared runner
  * then handles what used to be copy-pasted per binary:
  *
- *   - warmup + MRQ_BENCH_REPS timed repetitions per case, aggregated
- *     with robust statistics (median/MAD/min/max, outlier count),
+ *   - warmup + timed repetitions per case (--reps=N overrides the
+ *     per-case count), aggregated with robust statistics
+ *     (median/MAD/min/max, outlier count),
  *   - a MetricsRegistry reset before each repetition and a snapshot
  *     after the last one, so hw-sim cycles, term-pair counts and
  *     projection-cache hit rates land in the report next to wall
@@ -20,7 +21,7 @@
  *     harness's own timing summary goes to stderr, so stdout is
  *     byte-identical across repetitions and MRQ_THREADS.
  *
- * Tiers: MRQ_BENCH_QUICK=1 selects the quick tier; case bodies read
+ * Tiers: --quick selects the quick tier; case bodies read
  * ctx.quick() and shrink their workload (fewer epochs, smaller
  * sample counts) while keeping every table and recorded value in
  * place, so CI can gate the full trajectory in minutes.
@@ -55,8 +56,8 @@ defaultCase()
     return CaseOptions{};
 }
 
-/** Training-scale cases: one rep, no warmup unless MRQ_BENCH_REPS
- *  explicitly asks for more. */
+/** Training-scale cases: one rep, no warmup unless --reps explicitly
+ *  asks for more. */
 inline CaseOptions
 heavyCase()
 {
@@ -76,7 +77,7 @@ heavyCase()
 class BenchContext
 {
   public:
-    /** True in the reduced quick tier (MRQ_BENCH_QUICK=1). */
+    /** True in the reduced quick tier (--quick). */
     bool
     quick() const
     {

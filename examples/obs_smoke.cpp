@@ -7,24 +7,24 @@
  *
  * and the run manifest plus every deterministic metric (loss curves,
  * kept-term histograms, projection-cache hits, per-rung evals) lands
- * in metrics.jsonl — tools/check_metrics_schema.py validates the
+ * in metrics.jsonl — `tools/check_schema.py metrics` validates the
  * format.  The file is byte-identical at any MRQ_THREADS.
  *
  * Also exercises the rest of the observability stack:
  *
  *     MRQ_TRACE_OUT=trace.json   Chrome/Perfetto timeline of the run
- *                                (tools/check_trace_schema.py;
+ *                                (tools/check_schema.py trace;
  *                                tools/trace_report.py prints per-path
  *                                self/total time and calls)
  *     MRQ_SAMPLE_OUT=cpu.jsonl   CPU and heap stack profiles
- *     MRQ_HEAPPROF_OUT=heap.jsonl (tools/check_profile_schema.py;
+ *     MRQ_HEAPPROF_OUT=heap.jsonl (tools/check_schema.py profile;
  *                                tools/profile_diff.py diffs two or
  *                                renders one as folded stacks)
  *     MRQ_WATCHDOG=on|strict     training-health alerts in the JSONL
  *     MRQ_INSPECT=on             per-layer/per-rung numerical-health
  *                                records in MRQ_INSPECT_OUT
  *                                (default inspect.jsonl;
- *                                tools/check_inspect_schema.py,
+ *                                tools/check_schema.py inspect,
  *                                tools/inspect_report.py)
  *
  * Exits non-zero when any telemetry sink failed to flush, so CI

@@ -42,7 +42,7 @@
 namespace mrq {
 namespace obs {
 
-/** Schema version of the JSON snapshot (tools/check_stats_schema.py).
+/** Schema version of the JSON snapshot (tools/check_schema.py stats).
  *  v2 added the "heap" object (heap-profiler totals + per-thread
  *  churn); consumers of v1 fields are unaffected. */
 constexpr int kStatsSchemaVersion = 2;
@@ -76,7 +76,8 @@ struct StatsSnapshot
 /** Collect a snapshot of every source (never writes the registry). */
 StatsSnapshot collectStatsSnapshot();
 
-/** Render @p s in Prometheus text exposition format (version 0.0.4). */
+/** Render @p s in Prometheus text exposition format (version 0.0.4;
+ *  tools/check_schema.py prom validates it). */
 std::string renderPrometheus(const StatsSnapshot& s);
 
 /** Render @p s as one JSON object (schema kStatsSchemaVersion). */

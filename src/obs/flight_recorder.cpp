@@ -49,7 +49,7 @@ std::mutex g_slot_mutex;
 
 std::atomic<std::uint64_t> g_dropped{0};
 std::atomic<int> g_enabled{-1}; // -1 = read MRQ_FLIGHT lazily.
-std::atomic<std::size_t> g_cap{0}; // 0 = read MRQ_FLIGHT_RING lazily.
+std::atomic<std::size_t> g_cap{kFlightRingCap};
 
 /** Plain POD thread-local: safe to read from a signal handler, and —
  *  unlike a thread_local with a destructor — registering it never
@@ -151,17 +151,7 @@ setFlightEnabled(bool on)
 std::size_t
 flightRingCapacity()
 {
-    std::size_t cap = g_cap.load(std::memory_order_relaxed);
-    if (cap == 0) {
-        const long env = envLong("MRQ_FLIGHT_RING",
-                                 static_cast<long>(kFlightRingCap));
-        cap = env < 1 ? 1
-                      : (env > static_cast<long>(kFlightRingCap)
-                             ? kFlightRingCap
-                             : static_cast<std::size_t>(env));
-        g_cap.store(cap, std::memory_order_relaxed);
-    }
-    return cap;
+    return g_cap.load(std::memory_order_relaxed);
 }
 
 std::size_t
@@ -302,9 +292,7 @@ flightDrain(int fd)
     return 0;
 #else
     std::size_t written = 0;
-    const std::size_t cap = g_cap.load(std::memory_order_relaxed) > 0
-                                ? g_cap.load(std::memory_order_relaxed)
-                                : kFlightRingCap;
+    const std::size_t cap = g_cap.load(std::memory_order_relaxed);
     for (std::size_t slot = 0; slot < kFlightMaxThreads; ++slot) {
         const FlightRing& ring = g_rings[slot];
         if (ring.state.load(std::memory_order_acquire) == 0)

@@ -24,11 +24,11 @@
  * serial points or post-crash; thread *names* are mutex-guarded and
  * may be listed live (the stats endpoint does).
  *
- * Knobs: MRQ_FLIGHT=0/off disables recording (it is on by default —
+ * Knob: MRQ_FLIGHT=0/off disables recording (it is on by default —
  * the steady-state cost is a few tens of ns at epoch-cadence record
- * sites, gated <2% by the telemetry_overhead bench);
- * MRQ_FLIGHT_RING=N shrinks the logical per-thread capacity below the
- * compiled kFlightRingCap.
+ * sites, gated <2% by the telemetry_overhead bench).  Each thread
+ * keeps the last kFlightRingCap events; setFlightRingCapacity()
+ * shrinks that window (tests).
  */
 
 #ifndef MRQ_OBS_FLIGHT_RECORDER_HPP
@@ -62,8 +62,8 @@ bool flightEnabled();
 /** Override recording (tests, bench); returns the previous value. */
 bool setFlightEnabled(bool on);
 
-/** Logical per-thread capacity (MRQ_FLIGHT_RING, clamped to the
- *  compiled kFlightRingCap). */
+/** Logical per-thread capacity (kFlightRingCap unless
+ *  setFlightRingCapacity() shrank it). */
 std::size_t flightRingCapacity();
 
 /** Override the logical capacity (tests; serial code only — call

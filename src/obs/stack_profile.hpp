@@ -36,12 +36,12 @@
  *    "weight": sum(W)}
  *
  * Each kind fills <totals> and the per-thread fields (see
- * writeSampleProfile / writeHeapProfile).  tools/check_profile_schema.py
- * validates either kind; tools/profile_diff.py ranks per-stack weight
- * deltas between two profiles of one kind and renders a profile as
- * flamegraph folded stacks (--folded).  Profile data is wall-clock or
- * allocator-dependent and shares the timeline's exemption from the
- * JSONL determinism contract.
+ * writeSampleProfile / writeHeapProfile).  `tools/check_schema.py
+ * profile` validates either kind; tools/profile_diff.py ranks
+ * per-stack weight deltas between two profiles of one kind and
+ * renders a profile as flamegraph folded stacks (--folded).  Profile
+ * data is wall-clock or allocator-dependent and shares the timeline's
+ * exemption from the JSONL determinism contract.
  */
 
 #ifndef MRQ_OBS_STACK_PROFILE_HPP

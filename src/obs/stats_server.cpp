@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -226,6 +227,17 @@ StatsPlane::start(long every_ms, const std::string& sock_path)
     im.sockPath = sock_path;
     im.stopRequested = false;
     im.samples.store(0, std::memory_order_relaxed);
+    // Exit safety net, as in the sampler: build every static a tick
+    // reads (the registry first of all) before the thread exists, then
+    // stop at exit.  atexit handlers registered after a static is
+    // built run before its destructor, so the thread is joined before
+    // anything it reads is destroyed.
+    (void)collectStatsSnapshot();
+    static const bool registered = [] {
+        std::atexit([] { StatsPlane::instance().stop(); });
+        return true;
+    }();
+    (void)registered;
     im.thread = std::thread([&im] { im.loop(); });
     im.running = true;
     return true;

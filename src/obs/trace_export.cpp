@@ -69,16 +69,8 @@ struct InstantEvent
     std::int64_t ns = 0;
 };
 
+/** Per-thread ring capacity until setTraceRingCapacity() changes it. */
 constexpr std::size_t kDefaultRingCapacity = 1u << 15;
-
-std::size_t
-initialRingCapacity()
-{
-    const long n = envLong("MRQ_TRACE_RING", 0);
-    if (n > 0)
-        return static_cast<std::size_t>(n);
-    return kDefaultRingCapacity;
-}
 
 /**
  * Owns every ring so events survive worker-thread exit (e.g. across
@@ -92,7 +84,7 @@ struct RingTable
 {
     std::mutex mutex;
     std::vector<std::unique_ptr<Ring>> rings;
-    std::size_t capacity = initialRingCapacity();
+    std::size_t capacity = kDefaultRingCapacity;
     std::vector<CounterSample> counters;
     std::vector<InstantEvent> instants;
 

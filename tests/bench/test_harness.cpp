@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 
@@ -483,6 +484,49 @@ TEST(BenchCompare, CheckResourcesGatesHeapGrowthButNotAbsence)
                            absent + quiet)
                               .c_str()),
               0);
+}
+
+TEST(BenchCompare, MalformedTrajectoryExitsTwoWithoutTraceback)
+{
+    // A trajectory that fails the bench schema is a usage error (2)
+    // with a one-line diagnostic, never a traceback or the regression
+    // exit (1).
+    if (std::system("python3 --version > /dev/null 2>&1") != 0)
+        GTEST_SKIP() << "python3 not available";
+    const std::string tool =
+        std::string(MRQ_SOURCE_DIR) + "/tools/bench_compare.py";
+    const std::string base = tempPath("bench_cmp_bad_base.json");
+    ASSERT_TRUE(makeSampleReport().write(base));
+    const std::string text = readFile(base);
+    const auto variant = [&](const char* name, const char* pattern,
+                             const char* with) {
+        const std::string path = tempPath(name);
+        const std::string bad =
+            std::regex_replace(text, std::regex(pattern), with,
+                               std::regex_constants::format_first_only);
+        EXPECT_NE(bad, text) << pattern;
+        std::ofstream(path) << bad;
+        return path;
+    };
+    const std::string bad[] = {
+        variant("bench_cmp_null_values.json", R"("values": \{[^}]*\})",
+                R"("values": null)"),
+        variant("bench_cmp_no_wall_ms.json", R"("wall_ms": \{[^}]*\},)",
+                ""),
+        tempPath("bench_cmp_not_json.json"),
+    };
+    std::ofstream(bad[2]) << "not json\n";
+    const std::string log = tempPath("bench_cmp_bad.log");
+    for (const std::string& cur : bad) {
+        const int rc = std::system(("python3 " + tool + " --check-timing " +
+                                    base + " " + cur + " > " + log +
+                                    " 2>&1")
+                                       .c_str());
+        ASSERT_TRUE(WIFEXITED(rc));
+        EXPECT_EQ(WEXITSTATUS(rc), 2) << cur << "\n" << readFile(log);
+        EXPECT_EQ(readFile(log).find("Traceback"), std::string::npos)
+            << readFile(log);
+    }
 }
 
 TEST(BenchCompare, TruncatedProfileDowngradesToDiagnostic)

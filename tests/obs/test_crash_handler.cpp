@@ -5,7 +5,7 @@
  * gtest re-execs the binary, so the child installs handlers into a
  * clean single-threaded process), the exit signal/code is asserted,
  * and the dump the child left behind is validated against
- * tools/check_postmortem_schema.py.
+ * tools/check_schema.py postmortem.
  *
  * The interposed operator new (obs/new_delete.cpp, pulled from the
  * archive) underpins the HandlerPathAllocatesNoHeap test:
@@ -55,10 +55,10 @@ pythonAvailable()
 int
 runChecker(const std::string& dump, const std::string& args)
 {
-    const std::string tool = std::string(MRQ_SOURCE_DIR) +
-                             "/tools/check_postmortem_schema.py";
-    return std::system(("python3 " + tool + " " + args + " " + dump +
-                        " > /dev/null 2>&1")
+    const std::string tool =
+        std::string(MRQ_SOURCE_DIR) + "/tools/check_schema.py";
+    return std::system(("python3 " + tool + " postmortem " + args + " " +
+                        dump + " > /dev/null 2>&1")
                            .c_str());
 }
 

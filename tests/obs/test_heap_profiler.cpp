@@ -3,7 +3,7 @@
  * Heap-observability tests: profiler lifecycle and env knobs, counter
  * and size-class accounting through the interposed operators,
  * span/kernel attribution of sampled allocation stacks, the JSONL
- * schema round-trip against tools/check_profile_schema.py and a
+ * schema round-trip against tools/check_schema.py profile and a
  * profile_diff.py self-diff, the tool's folded rendering, both
  * profilers armed at once, stats-endpoint exposure, and the
  * AllocGuard no-alloc regions — counting,
@@ -243,8 +243,8 @@ TEST(HeapProfiler, JsonlSchemaRoundTripAndSelfDiff)
         dir / ("mrq_heap_profile_" + std::to_string(::getpid()) +
                ".jsonl");
     ASSERT_TRUE(obs::writeHeapProfile(profile.string()));
-    EXPECT_EQ(runTool("check_profile_schema.py",
-                      "--require-stacks --require-span " +
+    EXPECT_EQ(runTool("check_schema.py",
+                      "profile --require-stacks --require-span " +
                           profile.string()),
               0)
         << readAll(profile);
@@ -375,13 +375,13 @@ TEST(HeapProfiler, BothProfilersArmedWriteValidProfiles)
     obs::stopSampler();
     obs::resetSamplerProfile();
 
-    EXPECT_EQ(runTool("check_profile_schema.py",
-                      "--require-stacks " + cpu.string()),
+    EXPECT_EQ(runTool("check_schema.py",
+                      "profile --require-stacks " + cpu.string()),
               0)
         << readAll(cpu);
     if (heap) {
-        EXPECT_EQ(runTool("check_profile_schema.py",
-                          "--require-stacks " + mem.string()),
+        EXPECT_EQ(runTool("check_schema.py",
+                          "profile --require-stacks " + mem.string()),
                   0)
             << readAll(mem);
     }

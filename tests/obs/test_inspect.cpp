@@ -376,8 +376,8 @@ TEST(Inspect, SchemaCheckerAcceptsWrittenFile)
                                      /*append=*/false));
 
     const std::string tool =
-        std::string(MRQ_SOURCE_DIR) + "/tools/check_inspect_schema.py";
-    EXPECT_EQ(std::system(("python3 " + tool + " " + path +
+        std::string(MRQ_SOURCE_DIR) + "/tools/check_schema.py";
+    EXPECT_EQ(std::system(("python3 " + tool + " inspect " + path +
                            " > /dev/null 2>&1")
                               .c_str()),
               0);

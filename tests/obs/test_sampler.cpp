@@ -3,7 +3,7 @@
  * Sampling-profiler tests: lifecycle, deterministic capture via
  * debugSampleNow (raise(SIGPROF) delivers synchronously, exercising
  * exactly the handler path), span/kernel attribution, the JSONL
- * schema round-trip against tools/check_profile_schema.py and a
+ * schema round-trip against tools/check_schema.py profile and a
  * profile_diff.py self-diff, the tool's folded rendering of a CPU
  * profile, off-CPU thread-time decomposition, and
  * — in the SamplerDeathTest suite, excluded from the TSan leg — a
@@ -266,8 +266,8 @@ TEST(Sampler, JsonlSchemaRoundTripAndSelfDiff)
         dir / ("mrq_sample_profile_" + std::to_string(::getpid()) +
                ".jsonl");
     ASSERT_TRUE(obs::writeSampleProfile(profile.string()));
-    EXPECT_EQ(runTool("check_profile_schema.py",
-                      "--require-stacks --require-kernel " +
+    EXPECT_EQ(runTool("check_schema.py",
+                      "profile --require-stacks --require-kernel " +
                           profile.string()),
               0)
         << readAll(profile);
@@ -421,8 +421,9 @@ TEST_F(SamplerDeathTest, CrashMidSamplingWritesValidPostmortem)
         testing::KilledBySignal(SIGSEGV), "");
     const std::string dump = findDump();
     ASSERT_FALSE(dump.empty()) << "no dump in " << dir_;
-    EXPECT_EQ(runTool("check_postmortem_schema.py",
-                      "--reason signal --require-flight " + dump),
+    EXPECT_EQ(runTool("check_schema.py",
+                      "postmortem --reason signal --require-flight " +
+                          dump),
               0)
         << readAll(dump);
     EXPECT_NE(readAll(dump).find("\"signal\": \"SIGSEGV\""),

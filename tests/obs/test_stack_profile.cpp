@@ -2,7 +2,7 @@
  * @file
  * Stack-profile core tests: the shared JSON escaper and "{run}"
  * placeholder, the aggregate's deterministic heaviest-first row
- * order, the one JSONL writer against tools/check_profile_schema.py
+ * order, the one JSONL writer against tools/check_schema.py profile
  * for both kinds, and the folded-stack rendering of
  * tools/profile_diff.py --folded (span path root-first, ';' joins,
  * equal stacks merged, deep nesting, empty profiles).
@@ -117,7 +117,7 @@ foldedOf(const obs::ProfileDoc& doc)
 {
     const fs::path path = tempFile("folded.jsonl");
     EXPECT_TRUE(obs::writeStackProfile(path.string(), doc));
-    EXPECT_EQ(runTool("check_profile_schema.py", path.string()), 0)
+    EXPECT_EQ(runTool("check_schema.py", "profile " + path.string()), 0)
         << readAll(path);
     std::string folded;
     EXPECT_EQ(runTool("profile_diff.py", "--folded " + path.string(),
@@ -185,22 +185,23 @@ TEST(StackProfile, WriterOutputPassesCheckerForBothKinds)
                   stack("main", "", 2, 2 * period, {"g"})};
     const fs::path cpu_path = tempFile("cpu.jsonl");
     ASSERT_TRUE(obs::writeStackProfile(cpu_path.string(), cpu));
-    EXPECT_EQ(runTool("check_profile_schema.py",
-                      "--require-stacks --require-span " +
+    EXPECT_EQ(runTool("check_schema.py",
+                      "profile --require-stacks --require-span " +
                           cpu_path.string()),
               0)
         << readAll(cpu_path);
     // A CPU weight off the period grid is rejected.
     cpu.stacks[0].weight += 1;
     ASSERT_TRUE(obs::writeStackProfile(cpu_path.string(), cpu));
-    EXPECT_EQ(runTool("check_profile_schema.py", cpu_path.string()), 1);
+    EXPECT_EQ(runTool("check_schema.py", "profile " + cpu_path.string()),
+              1);
 
     const fs::path heap_path = tempFile("heap.jsonl");
     ASSERT_TRUE(obs::writeStackProfile(
         heap_path.string(),
         heapDoc({stack("", "s", 1, 8192, {"alloc"})})));
-    EXPECT_EQ(runTool("check_profile_schema.py",
-                      "--require-stacks " + heap_path.string()),
+    EXPECT_EQ(runTool("check_schema.py",
+                      "profile --require-stacks " + heap_path.string()),
               0)
         << readAll(heap_path);
     // The diff refuses to compare across kinds.

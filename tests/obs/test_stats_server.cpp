@@ -2,8 +2,8 @@
  * @file
  * Stats-plane tests: sampler start/stop lifecycle, snapshot coherence
  * while hot-path writers hammer the sharded registry (the TSan leg of
- * the telemetry plane), and a full unix-socket round trip in both
- * exposition formats.
+ * the telemetry plane), a full unix-socket round trip in both
+ * exposition formats, and a clean exit while the plane still ticks.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -189,6 +190,37 @@ TEST(StatsServer, StartFromEnvNoOpWhenUnset)
     // refuse to start anything.
     EXPECT_FALSE(obs::StatsPlane::instance().startFromEnv());
     EXPECT_FALSE(obs::StatsPlane::instance().running());
+}
+
+/** A static whose destructor is slow enough for the plane to tick
+ *  several times during static destruction. */
+struct SlowDestructor
+{
+    ~SlowDestructor()
+    {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+};
+
+using StatsServerDeathTest = ::testing::Test;
+
+TEST(StatsServerDeathTest, ExitWhileTickingIsClean)
+{
+    // A process that never stops the plane must still exit cleanly
+    // when the registry is first touched after start(): the registry,
+    // built after the plane's own static, is destroyed first, while
+    // the 1 ms ticks go on during the slow destructor.  start() must
+    // build what a tick reads and join the thread at exit.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            obs::StatsPlane::instance().start(1, "");
+            static SlowDestructor slow;
+            obs::MetricsRegistry::instance().addCounterNamed(
+                "test.stats.exit_probe", 1);
+            std::exit(0);
+        },
+        testing::ExitedWithCode(0), "");
 }
 
 } // namespace

@@ -26,6 +26,11 @@ regressions.
 New cases / new keys in CURRENT are reported but never fatal (the
 trajectory is expected to grow).  Improvements are never fatal.
 
+Both files are read through check_schema.load("bench", ...): a file
+that is unreadable or fails the trajectory schema exits 2 with a
+one-line diagnostic, never 1, so a malformed input is not mistaken
+for a regression.
+
 When both runs also recorded sample profiles (MRQ_SAMPLE_OUT pointing
 into a directory, one <case-slug>.jsonl per case), pass
 --samples-base=DIR and --samples-cur=DIR: every tripped timing gate
@@ -54,11 +59,11 @@ Options:
   --heap-cur=DIR        per-case heap profiles of the current run
 """
 
-import json
 import os
 import re
 import sys
 
+import check_schema
 import profile_diff
 
 FATAL = 1
@@ -71,16 +76,10 @@ HEAP_RESOURCE_KEYS = ("alloc_bytes", "alloc_count", "peak_heap")
 
 def load(path):
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
+        return check_schema.load("bench", path)
+    except check_schema.SchemaError as err:
+        print(f"bench_compare: {err}", file=sys.stderr)
         sys.exit(USAGE)
-    if doc.get("type") != "bench" or doc.get("version") not in (1, 2, 3):
-        print(f"bench_compare: {path} is not a v1/v2/v3 bench "
-              "trajectory", file=sys.stderr)
-        sys.exit(USAGE)
-    return doc
 
 
 def rel_delta(base, cur):
@@ -112,7 +111,7 @@ def attribute_regression(case, base_dir, cur_dir):
         base = profile_diff.load_profile(base_path)
         cur = profile_diff.load_profile(cur_path)
         rows = profile_diff.diff_profiles(base, cur)
-    except profile_diff.ProfileError as err:
+    except check_schema.SchemaError as err:
         return "attribution unavailable for %s: %s" % (case, err)
     return profile_diff.format_report(rows, base_path, cur_path,
                                       base["kind"], base["unit"], top=10)

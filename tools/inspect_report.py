@@ -15,35 +15,18 @@ Sections:
                         matrix of logit KL / top-1 match
 
 Reads the file produced by MRQ_INSPECT=on (default inspect.jsonl,
-override with MRQ_INSPECT_OUT); validate it first with
-check_inspect_schema.py.
+override with MRQ_INSPECT_OUT) through check_schema.load("inspect",
+...); an invalid file exits 1 with that diagnostic.
 """
 
-import json
 import sys
 from collections import defaultdict
+
+from check_schema import SchemaError, load
 
 
 def mean(values):
     return sum(values) / len(values) if values else 0.0
-
-
-def load(path):
-    records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as e:
-                print(f"{path}:{lineno}: invalid JSON: {e}",
-                      file=sys.stderr)
-                sys.exit(1)
-            if obj.get("type") == "inspect":
-                records.append(obj)
-    return records
 
 
 def health_table(records):
@@ -157,7 +140,12 @@ def main(argv):
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    records = load(argv[1])
+    try:
+        records = [r for r in load("inspect", argv[1])
+                   if r["type"] == "inspect"]
+    except SchemaError as err:
+        print("inspect_report: %s" % err, file=sys.stderr)
+        return 1
     if not records:
         print(f"{argv[1]}: no inspect records", file=sys.stderr)
         return 1

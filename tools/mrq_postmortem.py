@@ -8,8 +8,10 @@ manifest, last stats digest, symbolized backtrace, and the last N
 flight-recorder events per thread with times relative to the newest
 event (the crash instant, near enough).
 
-The dump is produced by src/obs/crash_handler.cpp; validate it first
-with check_postmortem_schema.py if in doubt.  C++ symbols are left
+The dump is produced by src/obs/crash_handler.cpp; validate it with
+check_schema.py postmortem if in doubt.  This report keeps its own
+lenient reader instead of check_schema.load, because it must salvage
+a dump that was truncated mid-crash.  C++ symbols are left
 mangled by the writer (the demangler is not async-signal-safe); this
 report demangles when the interpreter can shell out to c++filt, and
 falls back to the mangled name.

@@ -5,7 +5,7 @@ profile rendered as folded stacks.
 Reads the JSONL stack profiles written by the CPU sampler
 (``MRQ_SAMPLE_OUT``, kind "cpu", weight in ns of sampled CPU time) and
 the heap profiler (``MRQ_HEAPPROF_OUT``, kind "heap", weight in
-sampled bytes), parsed and validated by ``check_profile_schema.load``.
+sampled bytes), parsed and validated by ``check_schema.load``.
 The weight column and its unit come from the header, so one diff
 serves both kinds: when a bench timing or heap gate trips, the failure
 comes with the stacks that account for the difference, ranked by
@@ -33,7 +33,7 @@ or an empty, truncated, malformed or mismatched (cpu vs heap) input.
 import json
 import sys
 
-from check_profile_schema import ProfileError, load
+from check_schema import SchemaError, load
 
 USAGE_EXIT = 2
 
@@ -49,9 +49,9 @@ def load_profile(path):
      "stacks": {key: {"count": c, "weight": w}}}
     where key = (span, kernel, tuple(frames)), merged across threads.
     """
-    prof = load(path)
+    prof = load("profile", path)
     stacks = {}
-    for s in prof.stacks:
+    for s in (r for r in prof.body if r["type"] == "stack"):
         key = (s["span"], s["kernel"], tuple(s["frames"]))
         slot = stacks.setdefault(key, {"count": 0, "weight": 0})
         slot["count"] += s["count"]
@@ -62,10 +62,10 @@ def load_profile(path):
 
 def diff_profiles(base, cur):
     """Per-stack weight deltas, regressions (cur > base) first, then
-    by absolute delta.  Raises ProfileError on a kind mismatch."""
+    by absolute delta.  Raises SchemaError on a kind mismatch."""
     if base["kind"] != cur["kind"]:
-        raise ProfileError("cannot diff a %s profile against a %s "
-                           "profile" % (base["kind"], cur["kind"]))
+        raise SchemaError("cannot diff a %s profile against a %s "
+                          "profile" % (base["kind"], cur["kind"]))
     zero = {"count": 0, "weight": 0}
     rows = []
     for key in set(base["stacks"]) | set(cur["stacks"]):
@@ -173,7 +173,7 @@ def main(argv):
             sys.stdout.write(folded(profiles[0]))
             return 0
         rows = diff_profiles(profiles[0], profiles[1])
-    except ProfileError as err:
+    except SchemaError as err:
         print("profile_diff: %s" % err, file=sys.stderr)
         return USAGE_EXIT
     base = profiles[0]

@@ -14,19 +14,14 @@ Sections:
 
 All times come from the trace's microsecond timestamps; the report is
 wall-clock and therefore not expected to be identical across runs.
+The file is read and validated by check_schema.load("trace", ...); an
+invalid one exits 1 with that diagnostic.
 """
 
-import json
 import sys
 from collections import defaultdict
 
-
-def load_events(path):
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    events = doc.get("traceEvents", [])
-    meta = doc.get("otherData", {})
-    return events, meta
+from check_schema import SchemaError, load
 
 
 def fmt_us(us):
@@ -110,7 +105,12 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
 
-    events, meta = load_events(paths[0])
+    try:
+        doc = load("trace", paths[0])
+    except SchemaError as err:
+        print("trace_report: %s" % err, file=sys.stderr)
+        return 1
+    events, meta = doc["traceEvents"], doc["otherData"]
     total, self, count = self_times(events)
     print(f"{paths[0]}: {sum(count.values())} spans, "
           f"{meta.get('threads', '?')} thread(s), "
