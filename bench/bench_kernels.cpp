@@ -7,8 +7,8 @@
  * over generic (`speedup_<isa>_<kernel>`); stdout reports only the
  * deterministic identity outcome and table shape.
  *
- * Expected shape: AVX2 well above 1x for the GEMM tile (dot) and the
- * term-projection lattice kernels on any AVX2 host; AVX-512 at or
+ * Expected shape: AVX2 well above 1x for the GEMM tile (dotRows) and
+ * the term-projection lattice kernels on any AVX2 host; AVX-512 at or
  * above AVX2.  Absolute numbers are host-dependent and gated only by
  * the timing tolerance.
  */
@@ -69,7 +69,7 @@ MRQ_BENCH(kernels_isa, "Kernel substrate",
     Rng rng(321);
     const bool quick = ctx.quick();
 
-    // GEMM tile: matmulTransB is a pure dot-kernel loop.
+    // GEMM tile: matmulTransB is a pure dotRows loop.
     const std::size_t mm = quick ? 128 : 256;
     const Tensor a = randomTensor({mm, 2 * mm}, rng);
     const Tensor b = randomTensor({mm, 2 * mm}, rng);
@@ -221,12 +221,26 @@ MRQ_BENCH(kernels_alloc_guard, "Kernel substrate",
     std::vector<std::int64_t> buckets(40, 7);
     const kernels::LatticeParams lat =
         kernels::makeLatticeParams(5, 0.05f, true);
+    // One sparse GEMM row: every other row of an [64, n / 64] B.
+    const std::size_t gemm_k = 64;
+    const std::size_t gemm_n = n / gemm_k;
+    std::vector<std::uint32_t> nz_idx;
+    std::vector<float> nz_val;
+    for (std::size_t t = 0; t < gemm_k; t += 2) {
+        nz_idx.push_back(static_cast<std::uint32_t>(t));
+        nz_val.push_back(x[t]);
+    }
+    float dots[4] = {};
 
     const kernels::KernelTable& kt = kernels::kernels();
     volatile float f_sink = 0.0f;
     volatile std::int64_t i_sink = 0;
     const auto sweep = [&] {
-        f_sink = f_sink + kt.dot(x.data(), y.data(), n);
+        kt.dotRows(x.data(), y.data(), 4, n / 4, dots,
+                   kernels::RowOut::Store);
+        f_sink = f_sink + dots[0];
+        kt.sparseRowGemm(nz_idx.data(), nz_val.data(), nz_idx.size(),
+                         x.data(), gemm_n, y.data(), gemm_n);
         kt.axpy(0.5f, x.data(), y.data(), n);
         kt.addRowInPlace(y.data(), x.data(), n);
         kt.addScalarInPlace(y.data(), 0.25f, n);

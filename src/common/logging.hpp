@@ -10,11 +10,13 @@
 #ifndef MRQ_COMMON_LOGGING_HPP
 #define MRQ_COMMON_LOGGING_HPP
 
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace mrq {
 
@@ -34,6 +36,27 @@ class PanicError : public std::logic_error
 
 namespace detail {
 
+template <typename T>
+void
+appendPart(std::ostringstream& os, const T& part)
+{
+    os << part;
+}
+
+/** Shapes print as "[2, 3, 4]", so a check can pass tensor.shape()
+ *  and format it only on failure. */
+inline void
+appendPart(std::ostringstream& os, const std::vector<std::size_t>& shape)
+{
+    os << "[";
+    for (std::size_t i = 0; i < shape.size(); ++i) {
+        if (i)
+            os << ", ";
+        os << shape[i];
+    }
+    os << "]";
+}
+
 inline void
 appendParts(std::ostringstream&)
 {
@@ -43,7 +66,7 @@ template <typename T, typename... Rest>
 void
 appendParts(std::ostringstream& os, const T& part, const Rest&... rest)
 {
-    os << part;
+    appendPart(os, part);
     appendParts(os, rest...);
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <optional>
 
 #include "core/uniform_quant.hpp"
 #include "kernels/kernels.hpp"
@@ -241,13 +242,19 @@ fakeQuantData(const Tensor& x, float clip, const SubModelConfig& cfg,
     Tensor out = x;
     const std::size_t n = x.size();
     c_x_projections.add(1);
-    const bool record_hist =
-        obs::metricsEnabled() && cfg.mode == QuantMode::Tq;
+    const bool tq = cfg.mode == QuantMode::Tq;
+    const bool record_hist = obs::metricsEnabled() && tq;
     const kernels::KernelTable& kt = kernels::kernels();
     const kernels::LatticeParams lp =
         kernels::makeLatticeParams(cfg.bits, uq.scale(), uq.isSigned);
     kernels::KernelRegion kr(kernels::KernelId::LatticeRoundTrip,
                              static_cast<std::int64_t>(n));
+    // The top-beta projection of a level depends only on the level:
+    // tabulate the lattice once, then look every element up.
+    std::optional<kernels::TqValueTable> table;
+    if (tq)
+        table.emplace(lp, cfg.beta, cfg.encoding);
+    const bool lookup = table && table->fits();
     const std::size_t kept = parallelReduce(
         n, parallelGrain(16), std::size_t{0},
         [&](std::size_t b, std::size_t e) {
@@ -255,11 +262,12 @@ fakeQuantData(const Tensor& x, float clip, const SubModelConfig& cfg,
             const std::size_t len = e - b;
             std::vector<std::int32_t> q(len);
             kt.latticeQuantize(x.data() + b, q.data(), len, lp);
-            if (cfg.mode == QuantMode::Tq) {
+            if (tq) {
                 for (std::size_t i = 0; i < len; ++i) {
                     const kernels::TqValueResult r =
-                        kernels::tqValueKeepTop(q[i], cfg.beta,
-                                                cfg.encoding);
+                        lookup ? table->lookup(q[i])
+                               : kernels::tqValueKeepTop(q[i], cfg.beta,
+                                                         cfg.encoding);
                     if (record_hist)
                         h_x_kept.record(r.kept);
                     local += r.kept;
@@ -271,7 +279,7 @@ fakeQuantData(const Tensor& x, float clip, const SubModelConfig& cfg,
         },
         [](std::size_t acc, std::size_t part) { return acc + part; });
     if (stats) {
-        if (cfg.mode == QuantMode::Tq)
+        if (tq)
             stats->keptTerms += kept;
         stats->units += n;
     }

@@ -15,12 +15,20 @@
  * Switching ISA must never change an output bit, at any MRQ_THREADS.
  * Each kernel therefore pins its floating-point semantics:
  *
- *  - dot() reduces through kDotLanes virtual accumulator lanes
- *    (blocking.hpp): element i lands in lane i % kDotLanes via one
- *    fused multiply-add, and the lanes collapse in a fixed binary
- *    tree (lane l absorbs lane l + 8, then l + 4, l + 2, l + 1).
- *    The generic build keeps 16 scalar accumulators and runs the
- *    identical tree.
+ *  - Every dotRows() dot reduces through kDotLanes virtual
+ *    accumulator lanes (blocking.hpp): element i lands in lane
+ *    i % kDotLanes via one fused multiply-add, and the lanes collapse
+ *    in a fixed binary tree (lane l absorbs lane l + 8, then l + 4,
+ *    l + 2, l + 1).  The generic build keeps 16 scalar accumulators
+ *    and runs the identical tree.
+ *  - sparseRowGemm() computes each output element as one fma chain
+ *    over the row's nonzero list in list order, starting from +0 —
+ *    the chain that one axpy per nonzero runs on a zeroed row — and
+ *    stores it.  Register tiling only changes which elements share a
+ *    pass, never an element's chain.
+ *  - dotRows() finishes every dot before it touches c: RowOut::Store
+ *    writes the sum, RowOut::InpSum adds it to c once (c + sum), the
+ *    exact value of `c += fresh_dot`.  c never seeds a chain.
  *  - Elementwise kernels (axpy, addRowInPlace, addScalarInPlace,
  *    lstmGates) have one FP operation per element, so only the
  *    operation itself needs pinning: multiplies and adds are IEEE
@@ -78,6 +86,16 @@ struct TqGroupStats
 };
 
 /**
+ * Output mode of dotRows, after the AT_CLEAR_OUTPUT / AT_INP_SUM
+ * output attributes of the exemplar conv kernels (SNIPPETS.md).
+ */
+enum class RowOut
+{
+    Store,  ///< c[j] = sum
+    InpSum, ///< c[j] = c[j] + sum: the finished sum added once
+};
+
+/**
  * One ISA variant of every micro-kernel.  All function pointers are
  * non-null in a table returned by kernels() / kernelTableFor().
  */
@@ -86,10 +104,27 @@ struct KernelTable
     /** The ISA this table's code was compiled for. */
     Isa isa = Isa::Generic;
 
-    /** 16-lane tree dot product: sum_i a[i] * b[i]. */
-    float (*dot)(const float* a, const float* b, std::size_t n);
+    /**
+     * One output row of a GEMM with a sparse A row:
+     * c[j] = sum_t val[t] * b[idx[t] * ldb + j] for j < n.  @p idx /
+     * @p val list the row's nonzeros in ascending index order;
+     * accumulators stay in registers across the whole list and c is
+     * written once per register tile.
+     */
+    void (*sparseRowGemm)(const std::uint32_t* idx, const float* val,
+                          std::size_t nnz, const float* b,
+                          std::size_t ldb, float* c, std::size_t n);
 
-    /** y[i] = fma(a, x[i], y[i]) — the matmul/conv tile update. */
+    /**
+     * 16-lane tree dots of one A row with @p rows consecutive B rows:
+     * c[r] (= or +=, per @p out) sum_i a[i] * b[r * k + i].  Up to
+     * four B rows share each A load; the one-row case is the plain
+     * dot product.
+     */
+    void (*dotRows)(const float* a, const float* b, std::size_t rows,
+                    std::size_t k, float* c, RowOut out);
+
+    /** y[i] = fma(a, x[i], y[i]) — the depthwise-conv tap update. */
     void (*axpy)(float a, const float* x, float* y, std::size_t n);
 
     /** y[i] += row[i] (bias rows, elementwise tensor adds). */
@@ -163,6 +198,43 @@ LatticeParams makeLatticeParams(int bits, float scale, bool is_signed);
  */
 TqValueResult tqValueKeepTop(std::int64_t value, std::size_t beta,
                              TermEncoding encoding);
+
+/**
+ * tqValueKeepTop of every level of a lattice, for per-element lookup
+ * in the data projection (whose result depends only on the level,
+ * beta and the encoding).  Fixed capacity, so it lives on the stack:
+ * kCapacity covers every 8-bit lattice, signed or unsigned.  Wider
+ * lattices are not tabulated (fits() is false) and keep the
+ * per-element call.
+ */
+class TqValueTable
+{
+  public:
+    static constexpr std::size_t kCapacity = 512;
+
+    TqValueTable(LatticeParams lattice, std::size_t beta,
+                 TermEncoding encoding);
+
+    /** Levels of the lattice (hi - lo + 1). */
+    std::size_t levels() const { return levels_; }
+
+    /** True when the lattice was tabulated. */
+    bool fits() const { return levels_ <= kCapacity; }
+
+    /** The projection of @p level (lo <= level <= hi; fits()). */
+    TqValueResult
+    lookup(std::int32_t level) const
+    {
+        const auto i = static_cast<std::size_t>(level - lo_);
+        return {value_[i], kept_[i]};
+    }
+
+  private:
+    std::int32_t lo_;
+    std::size_t levels_;
+    std::int32_t value_[kCapacity];
+    std::uint8_t kept_[kCapacity];
+};
 
 /**
  * Group term projection: the streaming equivalent of

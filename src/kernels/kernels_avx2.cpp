@@ -22,8 +22,10 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "kernels/kernel_scalar.hpp"
 
@@ -42,48 +44,167 @@ tailMask8(std::size_t k)
         reinterpret_cast<const __m256i*>(source + 8 - k));
 }
 
-/** Collapse the 16 virtual lanes (two ymm halves) with the fixed
- *  tree: lane l absorbs l+8, then l+4, l+2, l+1. */
-inline float
-reduceLanes16(__m256 lo, __m256 hi)
+/** Widest sparseRowGemm register tile, in ymm accumulators (leaves
+ *  the broadcast and load temporaries their own registers). */
+constexpr std::size_t kSparseTileVecs = 12;
+
+/** One register tile of sparseRowGemm: V ymm accumulators, the last
+ *  one masked by @p last, run over the whole nonzero list. */
+template <std::size_t V>
+void
+sparseTile(const std::uint32_t* idx, const float* val, std::size_t nnz,
+           const float* b, std::size_t ldb, float* c, __m256i last)
 {
-    const __m256 s8 = _mm256_add_ps(lo, hi);
-    const __m128 s4 = _mm_add_ps(_mm256_castps256_ps128(s8),
-                                 _mm256_extractf128_ps(s8, 1));
-    const __m128 s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-    const __m128 s1 =
-        _mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 0x55));
-    return _mm_cvtss_f32(s1);
+    __m256 acc[V];
+    for (std::size_t v = 0; v < V; ++v)
+        acc[v] = _mm256_setzero_ps();
+    for (std::size_t t = 0; t < nnz; ++t) {
+        const __m256 w = _mm256_set1_ps(val[t]);
+        const float* row = b + idx[t] * ldb;
+        for (std::size_t v = 0; v + 1 < V; ++v)
+            acc[v] = _mm256_fmadd_ps(w, _mm256_loadu_ps(row + 8 * v),
+                                     acc[v]);
+        acc[V - 1] = _mm256_fmadd_ps(
+            w, _mm256_maskload_ps(row + 8 * (V - 1), last), acc[V - 1]);
+    }
+    for (std::size_t v = 0; v + 1 < V; ++v)
+        _mm256_storeu_ps(c + 8 * v, acc[v]);
+    _mm256_maskstore_ps(c + 8 * (V - 1), last, acc[V - 1]);
 }
 
-float
-dotAvx2(const float* a, const float* b, std::size_t n)
+template <std::size_t... V>
+void
+sparseTileDispatch(std::size_t vecs, std::index_sequence<V...>,
+                   const std::uint32_t* idx, const float* val,
+                   std::size_t nnz, const float* b, std::size_t ldb,
+                   float* c, __m256i last)
 {
-    __m256 acc_lo = _mm256_setzero_ps(); // virtual lanes 0..7
-    __m256 acc_hi = _mm256_setzero_ps(); // virtual lanes 8..15
-    std::size_t i = 0;
-    const std::size_t full = n - n % kDotLanes;
-    for (; i < full; i += kDotLanes) {
-        acc_lo = _mm256_fmadd_ps(_mm256_loadu_ps(a + i),
-                                 _mm256_loadu_ps(b + i), acc_lo);
-        acc_hi = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8),
-                                 _mm256_loadu_ps(b + i + 8), acc_hi);
+    ((vecs == V + 1 ? sparseTile<V + 1>(idx, val, nnz, b, ldb, c, last)
+                    : void()),
+     ...);
+}
+
+void
+sparseRowGemmAvx2(const std::uint32_t* idx, const float* val,
+                  std::size_t nnz, const float* b, std::size_t ldb,
+                  float* c, std::size_t n)
+{
+    // Split the row into equal tiles of at most kSparseTileVecs
+    // vectors, so no pass runs a lone short vector.
+    const std::size_t vecs = ceilDiv(n, std::size_t{8});
+    const std::size_t tiles = ceilDiv(vecs, kSparseTileVecs);
+    std::size_t j = 0;
+    for (std::size_t tile = 0; tile < tiles; ++tile) {
+        const std::size_t tv = ceilDiv(vecs - j / 8, tiles - tile);
+        const std::size_t width = std::min(n - j, 8 * tv);
+        sparseTileDispatch(
+            tv, std::make_index_sequence<kSparseTileVecs>{}, idx, val, nnz,
+            b + j, ldb, c + j, tailMask8(width - 8 * (tv - 1)));
+        j += width;
     }
-    const std::size_t rem = n - i;
-    if (rem != 0) {
-        const __m256i m_lo = tailMask8(rem < 8 ? rem : 8);
-        acc_lo = _mm256_fmadd_ps(_mm256_maskload_ps(a + i, m_lo),
-                                 _mm256_maskload_ps(b + i, m_lo),
-                                 acc_lo);
-        if (rem > 8) {
-            const __m256i m_hi = tailMask8(rem - 8);
-            acc_hi =
-                _mm256_fmadd_ps(_mm256_maskload_ps(a + i + 8, m_hi),
-                                _mm256_maskload_ps(b + i + 8, m_hi),
-                                acc_hi);
+}
+
+/**
+ * The fixed 16-lane tree of four rows at once (two ymm halves each):
+ * lane l absorbs l+8, then l+4, l+2, l+1, exactly as in the generic
+ * tree, with rows packed side by side so one add serves two or four
+ * of them.  Writes the four sums to s[0..3].
+ */
+inline void
+reduceLanes16x4(const __m256* lo, const __m256* hi, float* s)
+{
+    // l += l+8.
+    const __m256 s8_0 = _mm256_add_ps(lo[0], hi[0]);
+    const __m256 s8_1 = _mm256_add_ps(lo[1], hi[1]);
+    const __m256 s8_2 = _mm256_add_ps(lo[2], hi[2]);
+    const __m256 s8_3 = _mm256_add_ps(lo[3], hi[3]);
+    // l += l+4: one 128-bit half per row, [row0 | row1], [row2 | row3].
+    const __m256 s4_01 =
+        _mm256_add_ps(_mm256_permute2f128_ps(s8_0, s8_1, 0x20),
+                      _mm256_permute2f128_ps(s8_0, s8_1, 0x31));
+    const __m256 s4_23 =
+        _mm256_add_ps(_mm256_permute2f128_ps(s8_2, s8_3, 0x20),
+                      _mm256_permute2f128_ps(s8_2, s8_3, 0x31));
+    // l += l+2: halves hold [row0 l0 l1, row2 l0 l1 | row1 .., row3 ..].
+    const __m256 s2 = _mm256_add_ps(
+        _mm256_shuffle_ps(s4_01, s4_23, _MM_SHUFFLE(1, 0, 1, 0)),
+        _mm256_shuffle_ps(s4_01, s4_23, _MM_SHUFFLE(3, 2, 3, 2)));
+    // l += l+1: lanes 0, 1, 4, 5 hold rows 0, 2, 1, 3.
+    const __m256 s1 = _mm256_add_ps(
+        _mm256_shuffle_ps(s2, s2, _MM_SHUFFLE(2, 0, 2, 0)),
+        _mm256_shuffle_ps(s2, s2, _MM_SHUFFLE(3, 1, 3, 1)));
+    const __m256 rows = _mm256_permutevar8x32_ps(
+        s1, _mm256_setr_epi32(0, 4, 1, 5, 0, 4, 1, 5));
+    _mm_storeu_ps(s, _mm256_castps256_ps128(rows));
+}
+
+/** One dotRows pass: R <= 4 B rows share every A load; each row keeps
+ *  its 16 virtual lanes in two ymm accumulators (lanes 0..7, 8..15). */
+template <std::size_t R>
+void
+dotPass(const float* a, const float* b, std::size_t k, float* c,
+        RowOut out)
+{
+    __m256 lo[4];
+    __m256 hi[4];
+    for (std::size_t r = 0; r < 4; ++r) {
+        lo[r] = _mm256_setzero_ps();
+        hi[r] = _mm256_setzero_ps();
+    }
+    std::size_t i = 0;
+    const std::size_t full = k - k % kDotLanes;
+    for (; i < full; i += kDotLanes) {
+        const __m256 a_lo = _mm256_loadu_ps(a + i);
+        const __m256 a_hi = _mm256_loadu_ps(a + i + 8);
+        for (std::size_t r = 0; r < R; ++r) {
+            lo[r] = _mm256_fmadd_ps(a_lo, _mm256_loadu_ps(b + r * k + i),
+                                    lo[r]);
+            hi[r] = _mm256_fmadd_ps(
+                a_hi, _mm256_loadu_ps(b + r * k + i + 8), hi[r]);
         }
     }
-    return reduceLanes16(acc_lo, acc_hi);
+    const std::size_t rem = k - i;
+    if (rem != 0) {
+        const __m256i m_lo = tailMask8(rem < 8 ? rem : 8);
+        const __m256 a_lo = _mm256_maskload_ps(a + i, m_lo);
+        for (std::size_t r = 0; r < R; ++r)
+            lo[r] = _mm256_fmadd_ps(
+                a_lo, _mm256_maskload_ps(b + r * k + i, m_lo), lo[r]);
+        if (rem > 8) {
+            const __m256i m_hi = tailMask8(rem - 8);
+            const __m256 a_hi = _mm256_maskload_ps(a + i + 8, m_hi);
+            for (std::size_t r = 0; r < R; ++r)
+                hi[r] = _mm256_fmadd_ps(
+                    a_hi, _mm256_maskload_ps(b + r * k + i + 8, m_hi),
+                    hi[r]);
+        }
+    }
+    float sums[4];
+    reduceLanes16x4(lo, hi, sums);
+    for (std::size_t r = 0; r < R; ++r)
+        c[r] = out == RowOut::InpSum ? c[r] + sums[r] : sums[r];
+}
+
+void
+dotRowsAvx2(const float* a, const float* b, std::size_t rows,
+            std::size_t k, float* c, RowOut out)
+{
+    std::size_t r = 0;
+    for (; r + 4 <= rows; r += 4)
+        dotPass<4>(a, b + r * k, k, c + r, out);
+    switch (rows - r) {
+      case 3:
+        dotPass<3>(a, b + r * k, k, c + r, out);
+        break;
+      case 2:
+        dotPass<2>(a, b + r * k, k, c + r, out);
+        break;
+      case 1:
+        dotPass<1>(a, b + r * k, k, c + r, out);
+        break;
+      default:
+        break;
+    }
 }
 
 void
@@ -322,7 +443,8 @@ avx2Table()
 {
     static const KernelTable table = {
         Isa::Avx2,
-        dotAvx2,
+        sparseRowGemmAvx2,
+        dotRowsAvx2,
         axpyAvx2,
         addRowInPlaceAvx2,
         addScalarInPlaceAvx2,

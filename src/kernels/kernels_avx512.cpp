@@ -6,8 +6,8 @@
  * defines MRQ_KERNELS_HAVE_AVX512 when the compiler accepts it).  The
  * 16 virtual dot lanes are one zmm accumulator; tails use zero-masked
  * loads (exact no-ops on the accumulator, as in the AVX2 variant) and
- * the reduction splits the zmm into two ymm halves so the tree is the
- * same lane pairing as generic and AVX2.  The lattice rounding
+ * the reduction packs four rows' lanes side by side so each step of
+ * the generic tree is one add for all four.  The lattice rounding
  * restates the kernel_scalar.hpp construction with vroundscale.
  */
 
@@ -17,8 +17,10 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "kernels/kernel_scalar.hpp"
 
@@ -34,38 +36,143 @@ tailMask16(std::size_t k)
     return static_cast<__mmask16>((1u << k) - 1u);
 }
 
-/** Collapse one zmm of 16 virtual lanes with the fixed tree: the two
- *  ymm halves pair lane l with l+8, then as in the AVX2 variant. */
-inline float
-reduceLanes16(__m512 acc)
+/** Widest sparseRowGemm register tile, in zmm accumulators (the
+ *  conv row of 12x12 outputs, 144 floats, fits one tile). */
+constexpr std::size_t kSparseTileVecs = 12;
+
+/** One register tile of sparseRowGemm: V zmm accumulators, the last
+ *  one masked to @p last lanes, run over the whole nonzero list. */
+template <std::size_t V>
+void
+sparseTile(const std::uint32_t* idx, const float* val, std::size_t nnz,
+           const float* b, std::size_t ldb, float* c, __mmask16 last)
 {
-    // extractf64x4 is the AVX512F-only way to take the upper 256 bits.
-    const __m256 upper = _mm256_castpd_ps(
-        _mm512_extractf64x4_pd(_mm512_castps_pd(acc), 1));
-    const __m256 s8 = _mm256_add_ps(_mm512_castps512_ps256(acc), upper);
-    const __m128 s4 = _mm_add_ps(_mm256_castps256_ps128(s8),
-                                 _mm256_extractf128_ps(s8, 1));
-    const __m128 s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-    const __m128 s1 =
-        _mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 0x55));
-    return _mm_cvtss_f32(s1);
+    __m512 acc[V];
+    for (std::size_t v = 0; v < V; ++v)
+        acc[v] = _mm512_setzero_ps();
+    for (std::size_t t = 0; t < nnz; ++t) {
+        const __m512 w = _mm512_set1_ps(val[t]);
+        const float* row = b + idx[t] * ldb;
+        for (std::size_t v = 0; v + 1 < V; ++v)
+            acc[v] = _mm512_fmadd_ps(w, _mm512_loadu_ps(row + 16 * v),
+                                     acc[v]);
+        acc[V - 1] = _mm512_fmadd_ps(
+            w, _mm512_maskz_loadu_ps(last, row + 16 * (V - 1)),
+            acc[V - 1]);
+    }
+    for (std::size_t v = 0; v + 1 < V; ++v)
+        _mm512_storeu_ps(c + 16 * v, acc[v]);
+    _mm512_mask_storeu_ps(c + 16 * (V - 1), last, acc[V - 1]);
 }
 
-float
-dotAvx512(const float* a, const float* b, std::size_t n)
+template <std::size_t... V>
+void
+sparseTileDispatch(std::size_t vecs, std::index_sequence<V...>,
+                   const std::uint32_t* idx, const float* val,
+                   std::size_t nnz, const float* b, std::size_t ldb,
+                   float* c, __mmask16 last)
 {
-    __m512 acc = _mm512_setzero_ps();
-    std::size_t i = 0;
-    const std::size_t full = n - n % kDotLanes;
-    for (; i < full; i += kDotLanes)
-        acc = _mm512_fmadd_ps(_mm512_loadu_ps(a + i),
-                              _mm512_loadu_ps(b + i), acc);
-    if (i < n) {
-        const __mmask16 m = tailMask16(n - i);
-        acc = _mm512_fmadd_ps(_mm512_maskz_loadu_ps(m, a + i),
-                              _mm512_maskz_loadu_ps(m, b + i), acc);
+    ((vecs == V + 1 ? sparseTile<V + 1>(idx, val, nnz, b, ldb, c, last)
+                    : void()),
+     ...);
+}
+
+void
+sparseRowGemmAvx512(const std::uint32_t* idx, const float* val,
+                    std::size_t nnz, const float* b, std::size_t ldb,
+                    float* c, std::size_t n)
+{
+    // Split the row into equal tiles of at most kSparseTileVecs
+    // vectors, so no pass runs a lone short vector.
+    const std::size_t vecs = ceilDiv(n, std::size_t{16});
+    const std::size_t tiles = ceilDiv(vecs, kSparseTileVecs);
+    std::size_t j = 0;
+    for (std::size_t tile = 0; tile < tiles; ++tile) {
+        const std::size_t tv = ceilDiv(vecs - j / 16, tiles - tile);
+        const std::size_t width = std::min(n - j, 16 * tv);
+        sparseTileDispatch(
+            tv, std::make_index_sequence<kSparseTileVecs>{}, idx, val, nnz,
+            b + j, ldb, c + j, tailMask16(width - 16 * (tv - 1)));
+        j += width;
     }
-    return reduceLanes16(acc);
+}
+
+/**
+ * The fixed 16-lane tree of four accumulators at once: lane l absorbs
+ * l+8, then l+4, l+2, l+1, exactly as in the generic tree, with the
+ * four rows packed side by side so one zmm add serves all of them.
+ * Writes the four sums to s[0..3].
+ */
+inline void
+reduceLanes16x4(__m512 a0, __m512 a1, __m512 a2, __m512 a3, float* s)
+{
+    // l += l+8: [lo8(a0) lo8(a1)] + [hi8(a0) hi8(a1)], same for a2/a3.
+    const __m512 p01 = _mm512_add_ps(_mm512_shuffle_f32x4(a0, a1, 0x44),
+                                     _mm512_shuffle_f32x4(a0, a1, 0xEE));
+    const __m512 p23 = _mm512_add_ps(_mm512_shuffle_f32x4(a2, a3, 0x44),
+                                     _mm512_shuffle_f32x4(a2, a3, 0xEE));
+    // l += l+4: one 128-bit block per row.
+    const __m512 s4 = _mm512_add_ps(_mm512_shuffle_f32x4(p01, p23, 0x88),
+                                    _mm512_shuffle_f32x4(p01, p23, 0xDD));
+    // l += l+2, then l += l+1, inside each block.
+    const __m512 s2 =
+        _mm512_add_ps(s4, _mm512_shuffle_ps(s4, s4, _MM_SHUFFLE(3, 2, 3, 2)));
+    const __m512 s1 =
+        _mm512_add_ps(s2, _mm512_shuffle_ps(s2, s2, _MM_SHUFFLE(1, 1, 1, 1)));
+    _mm_storeu_ps(s, _mm512_castps512_ps128(
+                         _mm512_maskz_compress_ps(0x1111, s1)));
+}
+
+/** One dotRows pass: R <= 4 B rows share every A load. */
+template <std::size_t R>
+void
+dotPass(const float* a, const float* b, std::size_t k, float* c,
+        RowOut out)
+{
+    __m512 acc[4];
+    for (std::size_t r = 0; r < 4; ++r)
+        acc[r] = _mm512_setzero_ps();
+    std::size_t i = 0;
+    const std::size_t full = k - k % kDotLanes;
+    for (; i < full; i += kDotLanes) {
+        const __m512 av = _mm512_loadu_ps(a + i);
+        for (std::size_t r = 0; r < R; ++r)
+            acc[r] = _mm512_fmadd_ps(av, _mm512_loadu_ps(b + r * k + i),
+                                     acc[r]);
+    }
+    if (i < k) {
+        const __mmask16 m = tailMask16(k - i);
+        const __m512 av = _mm512_maskz_loadu_ps(m, a + i);
+        for (std::size_t r = 0; r < R; ++r)
+            acc[r] = _mm512_fmadd_ps(
+                av, _mm512_maskz_loadu_ps(m, b + r * k + i), acc[r]);
+    }
+    float sums[4];
+    reduceLanes16x4(acc[0], acc[1], acc[2], acc[3], sums);
+    for (std::size_t r = 0; r < R; ++r)
+        c[r] = out == RowOut::InpSum ? c[r] + sums[r] : sums[r];
+}
+
+void
+dotRowsAvx512(const float* a, const float* b, std::size_t rows,
+              std::size_t k, float* c, RowOut out)
+{
+    std::size_t r = 0;
+    for (; r + 4 <= rows; r += 4)
+        dotPass<4>(a, b + r * k, k, c + r, out);
+    switch (rows - r) {
+      case 3:
+        dotPass<3>(a, b + r * k, k, c + r, out);
+        break;
+      case 2:
+        dotPass<2>(a, b + r * k, k, c + r, out);
+        break;
+      case 1:
+        dotPass<1>(a, b + r * k, k, c + r, out);
+        break;
+      default:
+        break;
+    }
 }
 
 void
@@ -300,7 +407,8 @@ avx512Table()
 {
     static const KernelTable table = {
         Isa::Avx512,
-        dotAvx512,
+        sparseRowGemmAvx512,
+        dotRowsAvx512,
         axpyAvx512,
         addRowInPlaceAvx512,
         addScalarInPlaceAvx512,

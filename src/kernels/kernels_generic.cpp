@@ -12,6 +12,8 @@
 
 #include "kernels/kernels.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 #include "kernels/kernel_scalar.hpp"
 
@@ -20,22 +22,42 @@ namespace kernels {
 
 namespace {
 
-float
-dotGeneric(const float* a, const float* b, std::size_t n)
+/** Column tile of the scalar sparse row GEMM (stack accumulators). */
+constexpr std::size_t kGenericTile = 64;
+
+void
+sparseRowGemmGeneric(const std::uint32_t* idx, const float* val,
+                     std::size_t nnz, const float* b, std::size_t ldb,
+                     float* c, std::size_t n)
 {
-    float lanes[kDotLanes] = {};
-    std::size_t i = 0;
-    const std::size_t full = n - n % kDotLanes;
-    for (; i < full; i += kDotLanes)
-        for (std::size_t l = 0; l < kDotLanes; ++l)
-            lanes[l] = fmadd(a[i + l], b[i + l], lanes[l]);
-    for (; i < n; ++i)
-        lanes[i % kDotLanes] = fmadd(a[i], b[i], lanes[i % kDotLanes]);
-    // Fixed binary tree: lane l absorbs lane l + half, half halving.
-    for (std::size_t half = kDotLanes / 2; half > 0; half /= 2)
-        for (std::size_t l = 0; l < half; ++l)
-            lanes[l] += lanes[l + half];
-    return lanes[0];
+    for (std::size_t j0 = 0; j0 < n; j0 += kGenericTile) {
+        const std::size_t w = n - j0 < kGenericTile ? n - j0 : kGenericTile;
+        float acc[kGenericTile] = {};
+        for (std::size_t t = 0; t < nnz; ++t) {
+            const float* row = b + idx[t] * ldb + j0;
+            for (std::size_t j = 0; j < w; ++j)
+                acc[j] = fmadd(val[t], row[j], acc[j]);
+        }
+        std::copy(acc, acc + w, c + j0);
+    }
+}
+
+void
+dotRowsGeneric(const float* a, const float* b, std::size_t rows,
+               std::size_t k, float* c, RowOut out)
+{
+    for (std::size_t r = 0; r < rows; ++r) {
+        const float* br = b + r * k;
+        float lanes[kDotLanes] = {};
+        for (std::size_t i = 0; i < k; ++i)
+            lanes[i % kDotLanes] =
+                fmadd(a[i], br[i], lanes[i % kDotLanes]);
+        // Fixed binary tree: lane l absorbs lane l + half, half halving.
+        for (std::size_t half = kDotLanes / 2; half > 0; half /= 2)
+            for (std::size_t l = 0; l < half; ++l)
+                lanes[l] += lanes[l + half];
+        c[r] = out == RowOut::InpSum ? c[r] + lanes[0] : lanes[0];
+    }
 }
 
 void
@@ -140,7 +162,8 @@ genericTable()
 {
     static const KernelTable table = {
         Isa::Generic,
-        dotGeneric,
+        sparseRowGemmGeneric,
+        dotRowsGeneric,
         axpyGeneric,
         addRowInPlaceGeneric,
         addScalarInPlaceGeneric,
@@ -216,6 +239,21 @@ tqValueKeepTop(std::int64_t value, std::size_t beta,
     });
     r.value = v;
     return r;
+}
+
+TqValueTable::TqValueTable(LatticeParams lattice, std::size_t beta,
+                           TermEncoding encoding)
+    : lo_(lattice.lo),
+      levels_(static_cast<std::size_t>(lattice.hi - lattice.lo) + 1)
+{
+    if (!fits())
+        return;
+    for (std::size_t i = 0; i < levels_; ++i) {
+        const TqValueResult r = tqValueKeepTop(
+            lo_ + static_cast<std::int32_t>(i), beta, encoding);
+        value_[i] = static_cast<std::int32_t>(r.value);
+        kept_[i] = static_cast<std::uint8_t>(r.kept);
+    }
 }
 
 TqGroupStats

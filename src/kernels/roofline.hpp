@@ -40,8 +40,9 @@ namespace kernels {
 /** Dispatched kernel families with roofline accounting. */
 enum class KernelId
 {
-    GemmDot = 0,      ///< dot(): elems = MACs.
-    GemmAxpy,         ///< axpy(): elems = nominal MACs.
+    GemmDot = 0,      ///< dotRows(): elems = MACs.
+    GemmAxpy,         ///< sparseRowGemm() (and the depthwise axpy):
+                      ///< elems = nominal MACs.
     AddRow,           ///< addRowInPlace(): elems = elements.
     AddScalar,        ///< addScalarInPlace(): elems = elements.
     LatticeQuantize,  ///< latticeQuantize (+ TQ projection): elements.

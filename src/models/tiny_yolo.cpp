@@ -43,7 +43,7 @@ TinyYolo::forward(const Tensor& x)
 {
     Tensor y = net_->forward(x);
     require(y.dim(2) == kGrid && y.dim(3) == kGrid,
-            "TinyYolo: unexpected grid size ", y.shapeString());
+            "TinyYolo: unexpected grid size ", y.shape());
     return y;
 }
 

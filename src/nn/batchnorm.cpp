@@ -30,7 +30,7 @@ BatchNorm2d::forward(const Tensor& x)
 {
     require(x.rank() == 4 && x.dim(1) == channels_,
             "BatchNorm2d::forward: expected [N, ", channels_,
-            ", H, W], got ", x.shapeString());
+            ", H, W], got ", x.shape());
     const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
     const std::size_t count = n * h * w;
     require(count > 0, "BatchNorm2d: empty batch");

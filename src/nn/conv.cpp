@@ -34,7 +34,7 @@ Conv2d::forward(const Tensor& x)
 {
     require(x.rank() == 4 && x.dim(1) == inChannels_,
             "Conv2d::forward: expected [N, ", inChannels_,
-            ", H, W], got ", x.shapeString());
+            ", H, W], got ", x.shape());
     const std::size_t n = x.dim(0);
     inH_ = x.dim(2);
     inW_ = x.dim(3);
@@ -48,28 +48,26 @@ Conv2d::forward(const Tensor& x)
 
     Tensor y({n, outChannels_, oh, ow});
     const std::size_t cols_rows = cachedCols_.dim(1);
-    const std::size_t cols_cols = cachedCols_.dim(2);
-    // Images are independent; the inner matmul runs inline when this
-    // loop is already parallel.
+    const std::size_t hw = oh * ow;
+    // y_img = Wq * cols_img; every image shares Wq's nonzero lists.
+    wqRows_.assign(cachedWq_.data(), outChannels_, cols_rows);
+    const kernels::KernelTable& kt = kernels::kernels();
+    kernels::KernelRegion kr(
+        kernels::KernelId::GemmAxpy,
+        static_cast<std::int64_t>(n * outChannels_ * cols_rows * hw));
+    // Images are independent; the row loop inside sparseGemm runs
+    // inline when this loop is already parallel.
     parallelFor(n, 1, [&](std::size_t i0, std::size_t i1) {
         for (std::size_t img = i0; img < i1; ++img) {
-            // View image's columns as a matrix and multiply.
-            Tensor cols_mat({cols_rows, cols_cols});
-            std::copy(cachedCols_.data() + img * cols_rows * cols_cols,
-                      cachedCols_.data() + (img + 1) * cols_rows * cols_cols,
-                      cols_mat.data());
-            Tensor out = matmul(cachedWq_, cols_mat); // [outC, OH*OW]
-            std::copy(out.data(), out.data() + out.size(),
-                      y.data() + img * outChannels_ * oh * ow);
+            float* y_img = y.data() + img * outChannels_ * hw;
+            sparseGemm(wqRows_, cachedCols_.data() + img * cols_rows * hw,
+                       hw, y_img);
             if (hasBias_) {
-                const kernels::KernelTable& kt = kernels::kernels();
                 for (std::size_t c = 0; c < outChannels_; ++c)
-                    kt.addScalarInPlace(
-                        y.data() + (img * outChannels_ + c) * oh * ow,
-                        bias_.value[c], oh * ow);
+                    kt.addScalarInPlace(y_img + c * hw, bias_.value[c], hw);
                 kernels::recordKernelElems(
                     kernels::KernelId::AddScalar,
-                    static_cast<std::int64_t>(outChannels_ * oh * ow));
+                    static_cast<std::int64_t>(outChannels_ * hw));
             }
         }
     });
@@ -85,69 +83,78 @@ Conv2d::backward(const Tensor& dy)
     const std::size_t n = dy.dim(0);
     const std::size_t oh = dy.dim(2), ow = dy.dim(3);
     const std::size_t cols_rows = cachedCols_.dim(1);
-    const std::size_t cols_cols = cachedCols_.dim(2);
-    require(cols_cols == oh * ow, "Conv2d::backward: spatial mismatch");
+    const std::size_t hw = cachedCols_.dim(2);
+    require(hw == oh * ow, "Conv2d::backward: spatial mismatch");
+    const float* pdy = dy.data();
+    const float* pcols = cachedCols_.data();
+    const kernels::KernelTable& kt = kernels::kernels();
 
-    Tensor dcols({n, cols_rows, cols_cols});
-
-    // Per-image contributions to dW (and the bias gradient) are summed
-    // via fixed-boundary chunk partials combined in chunk order, so
-    // the totals are thread-count independent; dcols rows are disjoint
-    // per image.
-    struct GradPartial
+    // dcols_img = Wq^T * dy_img; every image shares Wq^T's lists.
+    Tensor dcols({n, cols_rows, hw});
+    wqCols_.assignTransposed(cachedWq_.data(), outChannels_, cols_rows);
     {
-        Tensor dw;
-        Tensor bias;
-    };
-    GradPartial identity;
-    identity.dw = Tensor({outChannels_, cols_rows});
-    if (hasBias_)
-        identity.bias = Tensor({outChannels_});
-
-    const GradPartial total = parallelReduce(
-        n, std::size_t{1}, identity,
-        [&](std::size_t i0, std::size_t i1) {
-            GradPartial part;
-            part.dw = Tensor({outChannels_, cols_rows});
-            if (hasBias_)
-                part.bias = Tensor({outChannels_});
-            for (std::size_t img = i0; img < i1; ++img) {
-                Tensor dy_mat({outChannels_, cols_cols});
-                std::copy(dy.data() + img * outChannels_ * cols_cols,
-                          dy.data() + (img + 1) * outChannels_ * cols_cols,
-                          dy_mat.data());
-                Tensor cols_mat({cols_rows, cols_cols});
-                std::copy(
-                    cachedCols_.data() + img * cols_rows * cols_cols,
-                    cachedCols_.data() + (img + 1) * cols_rows * cols_cols,
-                    cols_mat.data());
-
-                // dW += dy_mat * cols^T.
-                part.dw += matmulTransB(dy_mat, cols_mat);
-                // dcols = Wq^T * dy_mat.
-                Tensor dc = matmulTransA(cachedWq_, dy_mat);
-                std::copy(dc.data(), dc.data() + dc.size(),
-                          dcols.data() + img * cols_rows * cols_cols);
-
-                if (hasBias_) {
-                    for (std::size_t c = 0; c < outChannels_; ++c)
-                        for (std::size_t i = 0; i < cols_cols; ++i)
-                            part.bias[c] += dy_mat(c, i);
-                }
-            }
-            return part;
-        },
-        [&](GradPartial acc, const GradPartial& part) {
-            acc.dw += part.dw;
-            if (hasBias_)
-                acc.bias += part.bias;
-            return acc;
+        kernels::KernelRegion kr(
+            kernels::KernelId::GemmAxpy,
+            static_cast<std::int64_t>(n * cols_rows * outChannels_ * hw));
+        parallelFor(n, 1, [&](std::size_t i0, std::size_t i1) {
+            for (std::size_t img = i0; img < i1; ++img)
+                sparseGemm(wqCols_, pdy + img * outChannels_ * hw, hw,
+                           dcols.data() + img * cols_rows * hw);
         });
+    }
 
-    if (hasBias_)
-        bias_.grad += total.bias;
+    // dW = sum_img dy_img * cols_img^T.  Each element starts at +0 and
+    // adds its per-image dots in ascending image order, so the value
+    // is the same at any thread count.  A chunk owns a tile of
+    // kOcBlock output channels x kBandRows cols rows (dW columns) and
+    // folds every image into a stack accumulator; the band's cols rows
+    // stay cache-resident across the channel loop.
+    constexpr std::size_t kBandRows = 16;
+    constexpr std::size_t kOcBlock = 8;
+    const std::size_t bands = kernels::ceilDiv(cols_rows, kBandRows);
+    const std::size_t oc_blocks = kernels::ceilDiv(outChannels_, kOcBlock);
+    Tensor dw({outChannels_, cols_rows});
+    {
+        kernels::KernelRegion kr(
+            kernels::KernelId::GemmDot,
+            static_cast<std::int64_t>(n * outChannels_ * hw * cols_rows));
+        parallelFor(bands * oc_blocks, 1, [&](std::size_t t0, std::size_t t1) {
+            for (std::size_t t = t0; t < t1; ++t) {
+                const std::size_t r0 = t / oc_blocks * kBandRows;
+                const std::size_t rows = std::min(kBandRows, cols_rows - r0);
+                const std::size_t o0 = t % oc_blocks * kOcBlock;
+                const std::size_t ocs = std::min(kOcBlock, outChannels_ - o0);
+                float acc[kOcBlock][kBandRows] = {};
+                for (std::size_t img = 0; img < n; ++img) {
+                    const float* cols = pcols + (img * cols_rows + r0) * hw;
+                    const float* dy_o = pdy + (img * outChannels_ + o0) * hw;
+                    for (std::size_t o = 0; o < ocs; ++o)
+                        kt.dotRows(dy_o + o * hw, cols, rows, hw, acc[o],
+                                   kernels::RowOut::InpSum);
+                }
+                for (std::size_t o = 0; o < ocs; ++o)
+                    std::copy(acc[o], acc[o] + rows,
+                              dw.data() + (o0 + o) * cols_rows + r0);
+            }
+        });
+    }
 
-    Tensor dw_master = quantizer_.backward(weight_.value, total.dw);
+    if (hasBias_) {
+        // Per channel: each image's pixel sum, folded in image order.
+        Tensor db({outChannels_});
+        for (std::size_t c = 0; c < outChannels_; ++c) {
+            for (std::size_t img = 0; img < n; ++img) {
+                const float* plane = pdy + (img * outChannels_ + c) * hw;
+                float part = 0.0f;
+                for (std::size_t i = 0; i < hw; ++i)
+                    part += plane[i];
+                db[c] += part;
+            }
+        }
+        bias_.grad += db;
+    }
+
+    Tensor dw_master = quantizer_.backward(weight_.value, dw);
     if (!weight_.grad.sameShape(weight_.value))
         weight_.resetGrad();
     weight_.grad += dw_master;

@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "nn/module.hpp"
 #include "nn/weight_quantizer.hpp"
+#include "tensor/ops.hpp"
 
 namespace mrq {
 
@@ -58,6 +59,8 @@ class Conv2d : public Module
 
     Tensor cachedCols_; ///< [N, inC*k*k, OH*OW]
     Tensor cachedWq_;
+    SparseRows wqRows_; ///< Nonzero lists of Wq rows (forward)
+    SparseRows wqCols_; ///< Nonzero lists of Wq^T rows (dcols)
     std::size_t inH_ = 0, inW_ = 0;
 };
 

@@ -27,7 +27,7 @@ Linear::forward(const Tensor& x)
 {
     require(x.rank() == 2 && x.dim(1) == inFeatures_,
             "Linear::forward: expected [batch, ", inFeatures_, "], got ",
-            x.shapeString());
+            x.shape());
     cachedInput_ = x;
     cachedWq_ = quantizer_.project(weight_);
     quantizer_.addMacs(x.dim(0) * outFeatures_ * inFeatures_);

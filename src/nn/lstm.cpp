@@ -35,7 +35,7 @@ Lstm::forward(const Tensor& x)
 {
     require(x.rank() == 3 && x.dim(2) == input_,
             "Lstm::forward: expected [T, N, ", input_, "], got ",
-            x.shapeString());
+            x.shape());
     const std::size_t t_len = x.dim(0), n = x.dim(1);
 
     cachedInput_ = x;

@@ -13,9 +13,62 @@
 #ifndef MRQ_TENSOR_OPS_HPP
 #define MRQ_TENSOR_OPS_HPP
 
+#include <cstdint>
+#include <vector>
+
+#include "kernels/kernels.hpp"
 #include "tensor/tensor.hpp"
 
 namespace mrq {
+
+/**
+ * The nonzero (index, value) lists of the rows of an [m, k] matrix A,
+ * in ascending index order: the A operand of
+ * kernels::sparseRowGemm.  Row i's list starts at offset i * k.  An
+ * instance keeps its storage across assign() calls, so a caller that
+ * owns one stops allocating once it has grown to the largest shape.
+ */
+class SparseRows
+{
+  public:
+    /** Lists of the rows of the row-major [m, k] matrix @p a. */
+    void assign(const float* a, std::size_t m, std::size_t k);
+
+    /** Lists of the rows of A = B^T, for the row-major [k, m] @p b. */
+    void assignTransposed(const float* b, std::size_t k, std::size_t m);
+
+    std::size_t rows() const { return count_.size(); }
+    std::size_t cols() const { return cols_; }
+
+    /** Row i's list: nnz(i) indices at idx(i), values at val(i). */
+    const std::uint32_t* idx(std::size_t i) const
+    {
+        return idx_.data() + i * cols_;
+    }
+    const float* val(std::size_t i) const
+    {
+        return val_.data() + i * cols_;
+    }
+    std::size_t nnz(std::size_t i) const { return count_[i]; }
+
+  private:
+    void resize(std::size_t m, std::size_t k);
+
+    std::size_t cols_ = 0;
+    std::vector<std::uint32_t> count_;
+    std::vector<std::uint32_t> idx_;
+    std::vector<float> val_;
+};
+
+/**
+ * C [m, n] = A * B for the listed rows of A [m, k] and the row-major
+ * B [k, n], one sparseRowGemm per output row, parallel over rows.
+ * Each element is the ascending-k fma chain over A's nonzeros from
+ * +0; zero entries of A are skipped, so a zero weight facing Inf/NaN
+ * in B contributes nothing.
+ */
+void sparseGemm(const SparseRows& a, const float* b, std::size_t n,
+                float* c);
 
 /**
  * Matrix product C = A * B.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 
 #include "kernels/kernels.hpp"
 #include "kernels/roofline.hpp"
@@ -45,7 +44,7 @@ Tensor::Tensor(std::vector<std::size_t> shape, std::vector<float> data)
 {
     require(data_.size() == numel(shape_),
             "Tensor: data size ", data_.size(), " does not match shape ",
-            shapeString());
+            shape_);
 }
 
 void
@@ -81,8 +80,8 @@ Tensor::reshape(std::vector<std::size_t> new_shape)
 Tensor&
 Tensor::operator+=(const Tensor& rhs)
 {
-    require(sameShape(rhs), "Tensor::operator+= shape mismatch: ",
-            shapeString(), " vs ", rhs.shapeString());
+    require(sameShape(rhs), "Tensor::operator+= shape mismatch: ", shape_,
+            " vs ", rhs.shape_);
     const kernels::KernelTable& kt = kernels::kernels();
     kernels::KernelRegion kr(kernels::KernelId::AddRow,
                              static_cast<std::int64_t>(data_.size()));
@@ -100,8 +99,8 @@ Tensor::operator+=(const Tensor& rhs)
 Tensor&
 Tensor::operator-=(const Tensor& rhs)
 {
-    require(sameShape(rhs), "Tensor::operator-= shape mismatch: ",
-            shapeString(), " vs ", rhs.shapeString());
+    require(sameShape(rhs), "Tensor::operator-= shape mismatch: ", shape_,
+            " vs ", rhs.shape_);
     if (data_.size() < kParallelThreshold) {
         for (std::size_t i = 0; i < data_.size(); ++i)
             data_[i] -= rhs.data_[i];
@@ -189,20 +188,6 @@ Tensor::maxAbs() const
             return m;
         },
         [](float acc, float part) { return std::max(acc, part); });
-}
-
-std::string
-Tensor::shapeString() const
-{
-    std::ostringstream os;
-    os << "[";
-    for (std::size_t i = 0; i < shape_.size(); ++i) {
-        if (i)
-            os << ", ";
-        os << shape_[i];
-    }
-    os << "]";
-    return os.str();
 }
 
 } // namespace mrq

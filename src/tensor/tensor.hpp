@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -144,9 +143,6 @@ class Tensor
 
     /** Maximum absolute element (0 for empty tensors). */
     float maxAbs() const;
-
-    /** Human-readable shape string, e.g. "[2, 3, 4]". */
-    std::string shapeString() const;
 
     /** @return True when both shapes match exactly. */
     bool sameShape(const Tensor& other) const { return shape_ == other.shape_; }

@@ -80,10 +80,14 @@ TEST_F(ParityTest, DotMatchesGenericBitExact)
     for (std::size_t n : kSizes) {
         const std::vector<float> a = randomFloats(n, rng);
         const std::vector<float> b = randomFloats(n, rng);
-        const float want = generic->dot(a.data(), b.data(), n);
+        float want = 0.0f;
+        generic->dotRows(a.data(), b.data(), 1, n, &want,
+                         kernels::RowOut::Store);
         for (Isa isa : compiledIsas()) {
             const KernelTable* kt = kernels::kernelTableFor(isa);
-            const float got = kt->dot(a.data(), b.data(), n);
+            float got = 0.0f;
+            kt->dotRows(a.data(), b.data(), 1, n, &got,
+                        kernels::RowOut::Store);
             EXPECT_EQ(std::memcmp(&want, &got, sizeof(float)), 0)
                 << "dot n=" << n << " isa=" << kernels::isaName(isa)
                 << " want=" << want << " got=" << got;
@@ -290,6 +294,85 @@ TEST_F(ParityTest, TqGroupProjectMatchesTermQuantizeGroup)
                         EXPECT_EQ(q[i], out[i]);
                 }
             }
+        }
+    }
+}
+
+TEST_F(ParityTest, TqValueTableMatchesTqValueKeepTop)
+{
+    const TermEncoding encodings[] = {TermEncoding::Naf, TermEncoding::Ubr,
+                                      TermEncoding::Booth};
+    for (TermEncoding enc : encodings) {
+        for (int bits = 2; bits <= 8; ++bits) {
+            for (bool is_signed : {false, true}) {
+                const kernels::LatticeParams lp =
+                    kernels::makeLatticeParams(bits, 0.1f, is_signed);
+                for (std::size_t beta = 1; beta <= 6; ++beta) {
+                    const kernels::TqValueTable table(lp, beta, enc);
+                    ASSERT_TRUE(table.fits());
+                    ASSERT_EQ(table.levels(),
+                              static_cast<std::size_t>(lp.hi - lp.lo) + 1);
+                    for (std::int32_t q = lp.lo; q <= lp.hi; ++q) {
+                        const kernels::TqValueResult want =
+                            kernels::tqValueKeepTop(q, beta, enc);
+                        const kernels::TqValueResult got = table.lookup(q);
+                        EXPECT_EQ(got.value, want.value)
+                            << "q=" << q << " bits=" << bits
+                            << " beta=" << beta;
+                        EXPECT_EQ(got.kept, want.kept)
+                            << "q=" << q << " bits=" << bits
+                            << " beta=" << beta;
+                    }
+                }
+            }
+        }
+    }
+    // A 10-bit lattice is wider than the table: not tabulated.
+    EXPECT_FALSE(kernels::TqValueTable(kernels::makeLatticeParams(
+                                           10, 0.1f, false),
+                                       2, TermEncoding::Naf)
+                     .fits());
+}
+
+/** fakeQuantData is a per-element function of the input: the table
+ *  lookup (bits 5, 8) and the per-element fallback (bits 10) must both
+ *  equal UQ + tqValueKeepTop + dequantize, element by element. */
+TEST_F(ParityTest, FakeQuantDataMatchesPerElementReference)
+{
+    Rng rng(108);
+    const Tensor x = [&] {
+        Tensor t({2100});
+        for (std::size_t i = 0; i < t.size(); ++i)
+            t[i] = static_cast<float>(rng.normal()) * 0.8f;
+        return t;
+    }();
+    for (int bits : {5, 8, 10}) {
+        for (bool is_signed : {false, true}) {
+            SubModelConfig cfg;
+            cfg.mode = QuantMode::Tq;
+            cfg.bits = bits;
+            cfg.beta = 2;
+            UniformQuantizer uq;
+            uq.bits = bits;
+            uq.clip = 1.1f;
+            uq.isSigned = is_signed;
+            QuantStats stats;
+            const Tensor got =
+                fakeQuantData(x, uq.clip, cfg, &stats, is_signed);
+            std::size_t kept = 0;
+            for (std::size_t i = 0; i < x.size(); ++i) {
+                const kernels::TqValueResult r = kernels::tqValueKeepTop(
+                    uq.quantize(x[i]), cfg.beta, cfg.encoding);
+                kept += r.kept;
+                const float want =
+                    static_cast<float>(r.value) * uq.scale();
+                EXPECT_EQ(std::memcmp(got.data() + i, &want, sizeof(float)),
+                          0)
+                    << "bits=" << bits << " signed=" << is_signed
+                    << " x=" << x[i];
+            }
+            EXPECT_EQ(stats.keptTerms, kept);
+            EXPECT_EQ(stats.units, x.size());
         }
     }
 }

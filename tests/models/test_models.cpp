@@ -7,13 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "models/blocks.hpp"
 #include "models/classifiers.hpp"
 #include "models/lstm_lm.hpp"
 #include "models/tiny_yolo.hpp"
+#include "nn/batchnorm.hpp"
+#include "nn/conv.hpp"
+#include "nn/linear.hpp"
 #include "nn/loss.hpp"
+#include "nn/lstm.hpp"
 #include "nn/optim.hpp"
+#include "tensor/ops.hpp"
 
 #include "../nn/gradcheck.hpp"
 
@@ -278,6 +285,50 @@ TEST(DecodeYolo, NmsDropsOverlappingSameClass)
     }
     const auto boxes = decodeYolo(preds, 0.3f, 0.5f);
     EXPECT_EQ(boxes[0].size(), 1u);
+}
+
+/** Shape checks format the offending shape only when they fail, and
+ *  the message still names it. */
+TEST(ShapeChecks, FailuresNameTheOffendingShape)
+{
+    const auto message = [](const std::function<void()>& fn) {
+        try {
+            fn();
+        } catch (const FatalError& e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    const auto names = [&](const std::function<void()>& fn,
+                           const std::string& text) {
+        const std::string msg = message(fn);
+        EXPECT_NE(msg.find(text), std::string::npos)
+            << "'" << msg << "' lacks '" << text << "'";
+    };
+    Rng rng(16);
+    names([] { matmul(Tensor({2, 3}), Tensor({4, 5})); },
+          "inner dimensions differ: [2, 3] x [4, 5]");
+    Tensor a({2, 3});
+    names([&] { a += Tensor({3, 2}); }, "shape mismatch: [2, 3] vs [3, 2]");
+    names([&] { a -= Tensor({6}); }, "shape mismatch: [2, 3] vs [6]");
+    names([] { Tensor({2, 2}, std::vector<float>(3)); },
+          "data size 3 does not match shape [2, 2]");
+    Conv2d conv(3, 4, 3, 1, 1, rng);
+    names([&] { conv.forward(Tensor({1, 2, 5, 5})); },
+          "expected [N, 3, H, W], got [1, 2, 5, 5]");
+    BatchNorm2d bn(4);
+    names([&] { bn.forward(Tensor({1, 3, 2, 2})); },
+          "expected [N, 4, H, W], got [1, 3, 2, 2]");
+    Linear lin(5, 2, rng);
+    names([&] { lin.forward(Tensor({2, 6})); },
+          "expected [batch, 5], got [2, 6]");
+    Lstm lstm(4, 3, rng);
+    names([&] { lstm.forward(Tensor({2, 1, 5})); },
+          "expected [T, N, 4], got [2, 1, 5]");
+    TinyYolo yolo(rng);
+    names([&] { yolo.forward(Tensor({1, 3, 64, 64}, 0.1f)); },
+          "unexpected grid size [1, " +
+              std::to_string(5 + TinyYolo::kClasses) + ", 8, 8]");
 }
 
 } // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "tensor/tensor.hpp"
 
 namespace mrq {
@@ -105,8 +107,17 @@ TEST(Tensor, SumAndMaxAbs)
 
 TEST(Tensor, ShapeString)
 {
+    // Shapes print through the shared check formatter.
     Tensor a({2, 3, 4});
-    EXPECT_EQ(a.shapeString(), "[2, 3, 4]");
+    const Tensor b({2, 3});
+    try {
+        a += b;
+        FAIL() << "shape mismatch not rejected";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("[2, 3, 4] vs [2, 3]"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Tensor, CopySemantics)
