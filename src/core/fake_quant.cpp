@@ -173,8 +173,9 @@ fakeQuantWeights(const Tensor& w, float clip, const SubModelConfig& cfg,
     // integers, so the chunked reduction is order-insensitive.  The
     // whole row quantizes through the lattice kernel in one call, the
     // groups project in place with the allocation-free counting
-    // selection (kernels::tqGroupProject, equivalent to
-    // termQuantizeGroup), and the row dequantizes in one call.
+    // selection on the lattice's term masks (kernels::tqGroupProject,
+    // equivalent to termQuantizeGroup), and the row dequantizes in
+    // one call.
     const std::size_t g = cfg.groupSize;
     require(g > 0, "fakeQuantWeights: group size must be positive");
     const std::size_t row_len =
@@ -184,6 +185,7 @@ fakeQuantWeights(const Tensor& w, float clip, const SubModelConfig& cfg,
     // pass; attributed to the quantize family (nominal).
     kernels::KernelRegion kr(kernels::KernelId::LatticeQuantize,
                              static_cast<std::int64_t>(n));
+    const kernels::TermMaskTable masks(lp, cfg.encoding);
     const QuantStats partial = parallelReduce(
         rows, parallelGrain(row_len * 16), QuantStats{},
         [&](std::size_t r0, std::size_t r1) {
@@ -199,7 +201,7 @@ fakeQuantWeights(const Tensor& w, float clip, const SubModelConfig& cfg,
                         scaledGroupBudget(cfg.alpha, g, len);
                     const kernels::TqGroupStats tg =
                         kernels::tqGroupProject(qrow.data() + off, len,
-                                                budget, cfg.encoding,
+                                                budget, masks,
                                                 qrow.data() + off);
                     h_w_kept.record(tg.kept);
                     h_w_dropped.record(tg.total - tg.kept);

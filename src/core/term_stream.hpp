@@ -11,8 +11,8 @@
  *
  * Emission order is ascending exponent (the natural walk direction).
  * encodeTerms() returns descending order; callers that care about
- * rank (top-beta selection) should bucket by exponent rather than
- * rely on emission order — see kernels::tqValueKeepTop.
+ * rank (top-beta selection) should select by exponent rather than
+ * rely on emission order — see kernels::termMasks.
  */
 
 #ifndef MRQ_CORE_TERM_STREAM_HPP

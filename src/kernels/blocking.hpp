@@ -30,10 +30,6 @@ namespace kernels {
  */
 constexpr std::size_t kDotLanes = 16;
 
-/** Exponent bound of any power-of-two term we handle (matches the
- *  encodeNaf/encodeBooth runaway invariant in src/core/sdr.cpp). */
-constexpr std::size_t kMaxTermExponent = 72;
-
 /** Integer ceiling division (shared by kernel tiling and the hw-sim
  *  array/tile geometry in src/hw/).  Mixed unsigned argument widths
  *  promote to the wider type. */

@@ -158,7 +158,7 @@ struct KernelTable
 
     /**
      * Hw-sim term-pair accumulate: y_in + sum_i signs[i] * 2^exps[i]
-     * (exact in int64; exps[i] in [0, kMaxTermExponent)).
+     * (exact in int64 while the sum fits; 0 <= exps[i] < 63).
      */
     std::int64_t (*termPairAccumulate)(const std::int16_t* exps,
                                        const std::int8_t* signs,
@@ -191,13 +191,69 @@ const KernelTable* kernelTableFor(Isa isa);
 LatticeParams makeLatticeParams(int bits, float scale, bool is_signed);
 
 /**
+ * A value's terms as exponent bit masks: bit e of pos (neg) is set
+ * when the encoding has a +2^e (-2^e) term.  No encoding puts two
+ * terms at one exponent, so the masks are disjoint and the value is
+ * pos - neg; keeping a subset of the terms is masking both.
+ */
+struct TermMasks
+{
+    std::uint64_t pos = 0;
+    std::uint64_t neg = 0;
+};
+
+/** The term masks of @p value under @p encoding, from one
+ *  visitTerms walk (every exponent must stay below 63). */
+TermMasks termMasks(std::int64_t value, TermEncoding encoding);
+
+/**
  * Top-beta term projection of a single lattice value — the streaming
  * equivalent of termQuantizeValue + termCount, without the
- * per-element vector allocations.  ISA-invariant integer code (not
+ * per-element vector allocations: the value's term masks minus their
+ * lowest total - beta bits.  ISA-invariant integer code (not
  * dispatched).
  */
 TqValueResult tqValueKeepTop(std::int64_t value, std::size_t beta,
                              TermEncoding encoding);
+
+/**
+ * termMasks of every level of a lattice, for the group projection.
+ * Fixed capacity, so it lives on the stack: kCapacity covers every
+ * 8-bit lattice, signed or unsigned.  A wider lattice is not
+ * tabulated (fits() is false) and masks() walks the element's terms
+ * once instead.
+ */
+class TermMaskTable
+{
+  public:
+    static constexpr std::size_t kCapacity = 512;
+
+    TermMaskTable(LatticeParams lattice, TermEncoding encoding);
+
+    /** Levels of the lattice (hi - lo + 1). */
+    std::size_t levels() const { return levels_; }
+
+    /** True when the lattice was tabulated. */
+    bool fits() const { return levels_ <= kCapacity; }
+
+    /** An exponent no level of the lattice has a term above. */
+    int topExponent() const { return top_; }
+
+    /** The masks of @p level (lo <= level <= hi). */
+    TermMasks
+    masks(std::int32_t level) const
+    {
+        return fits() ? masks_[static_cast<std::size_t>(level - lo_)]
+                      : termMasks(level, encoding_);
+    }
+
+  private:
+    std::int32_t lo_;
+    std::size_t levels_;
+    TermEncoding encoding_;
+    int top_;
+    TermMasks masks_[kCapacity];
+};
 
 /**
  * tqValueKeepTop of every level of a lattice, for per-element lookup
@@ -237,18 +293,22 @@ class TqValueTable
 };
 
 /**
- * Group term projection: the streaming equivalent of
- * termQuantizeGroup restricted to what the fake-quantizer needs (the
- * quantized values and the kept/total counts, not the kept-term
- * list).  Selects the same multiset of terms as the stable sort —
- * all terms above a threshold exponent, then member-order terms at
- * the threshold until the budget runs out; within one member an
- * exponent appears at most once in every encoding, so member order
- * is term order.  Writes the projected values to @p out (may alias
- * @p q).  ISA-invariant integer code (not dispatched).
+ * Group term projection of the lattice levels @p q: the streaming
+ * equivalent of termQuantizeGroup restricted to what the
+ * fake-quantizer needs (the quantized values and the kept/total
+ * counts, not the kept-term list).  Selects the same multiset of
+ * terms as the stable sort — all terms above a cut exponent, then
+ * member-order terms at the cut until the budget runs out; within one
+ * member an exponent appears at most once in every encoding, so
+ * member order is term order.  Works on @p masks' term masks of each
+ * member: exponents are counted with mask tests over the lattice's
+ * exponent range, and a member keeps (pos & above) - (neg & above)
+ * plus its term at the cut while the cut's allowance lasts.  Writes
+ * the projected values to @p out (may alias @p q).  ISA-invariant
+ * integer code (not dispatched).
  */
 TqGroupStats tqGroupProject(const std::int32_t* q, std::size_t len,
-                            std::size_t budget, TermEncoding encoding,
+                            std::size_t budget, const TermMaskTable& masks,
                             std::int32_t* out);
 
 } // namespace kernels

@@ -13,6 +13,8 @@
 #include "kernels/kernels.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdlib>
 
 #include "common/logging.hpp"
 #include "kernels/kernel_scalar.hpp"
@@ -217,27 +219,32 @@ makeLatticeParams(int bits, float scale, bool is_signed)
     return p;
 }
 
+TermMasks
+termMasks(std::int64_t value, TermEncoding encoding)
+{
+    TermMasks m;
+    visitTerms(value, encoding, [&](std::int8_t exp, std::int8_t sign) {
+        invariant(exp < 63, "termMasks: term beyond the mask width");
+        (sign > 0 ? m.pos : m.neg) |= std::uint64_t{1} << exp;
+    });
+    return m;
+}
+
 TqValueResult
 tqValueKeepTop(std::int64_t value, std::size_t beta,
                TermEncoding encoding)
 {
-    std::size_t total = 0;
-    visitTerms(value, encoding,
-               [&](std::int8_t, std::int8_t) { ++total; });
+    const TermMasks m = termMasks(value, encoding);
+    std::uint64_t keep = m.pos | m.neg;
+    const auto total = static_cast<std::size_t>(std::popcount(keep));
     TqValueResult r;
     r.kept = total < beta ? total : beta;
-    // Emission is ascending-exponent; keeping the top `kept` means
-    // skipping the lowest total - kept terms.
-    const std::size_t skip = total - r.kept;
-    std::size_t seen = 0;
-    std::int64_t v = 0;
-    visitTerms(value, encoding, [&](std::int8_t exp, std::int8_t sign) {
-        if (seen++ < skip)
-            return;
-        const std::int64_t mag = std::int64_t{1} << exp;
-        v += sign >= 0 ? mag : -mag;
-    });
-    r.value = v;
+    // The top `kept` terms are the mask without its lowest
+    // total - kept bits.
+    for (std::size_t k = total - r.kept; k > 0; --k)
+        keep &= keep - 1;
+    r.value = static_cast<std::int64_t>(m.pos & keep) -
+              static_cast<std::int64_t>(m.neg & keep);
     return r;
 }
 
@@ -256,23 +263,42 @@ TqValueTable::TqValueTable(LatticeParams lattice, std::size_t beta,
     }
 }
 
+TermMaskTable::TermMaskTable(LatticeParams lattice, TermEncoding encoding)
+    : lo_(lattice.lo),
+      levels_(static_cast<std::size_t>(lattice.hi - lattice.lo) + 1),
+      encoding_(encoding),
+      // A value below 2^w has no term above exponent w in any
+      // encoding: NAF and Booth carry at most one place past the
+      // binary length.
+      top_(std::bit_width(static_cast<std::uint32_t>(
+          std::max(std::abs(lattice.lo), std::abs(lattice.hi)))))
+{
+    if (!fits())
+        return;
+    for (std::size_t i = 0; i < levels_; ++i)
+        masks_[i] = termMasks(lo_ + static_cast<std::int32_t>(i), encoding);
+}
+
 TqGroupStats
 tqGroupProject(const std::int32_t* q, std::size_t len, std::size_t budget,
-               TermEncoding encoding, std::int32_t* out)
+               const TermMaskTable& masks, std::int32_t* out)
 {
-    // Pass 1: exponent histogram across the group.  Selecting by
-    // exponent buckets reproduces termQuantizeGroup's stable sort
-    // exactly: the flatten order is member-major and no member holds
-    // two terms at one exponent, so within a bucket member order is
-    // the stable tie order.
-    std::uint16_t counts[kMaxTermExponent] = {};
-    std::size_t total = 0;
+    // Exponent histogram across the group.  Selecting by exponent
+    // buckets reproduces termQuantizeGroup's stable sort exactly: the
+    // flatten order is member-major and no member holds two terms at
+    // one exponent, so within a bucket member order is the stable tie
+    // order.
+    const int top = masks.topExponent();
+    std::uint32_t counts[64] = {};
     for (std::size_t i = 0; i < len; ++i) {
-        visitTerms(q[i], encoding, [&](std::int8_t exp, std::int8_t) {
-            ++counts[static_cast<std::size_t>(exp)];
-            ++total;
-        });
+        const TermMasks m = masks.masks(q[i]);
+        const std::uint64_t terms = m.pos | m.neg;
+        for (int e = 0; e <= top; ++e)
+            counts[e] += static_cast<std::uint32_t>((terms >> e) & 1u);
     }
+    std::size_t total = 0;
+    for (int e = 0; e <= top; ++e)
+        total += counts[e];
     TqGroupStats stats;
     stats.total = total;
     stats.kept = total < budget ? total : budget;
@@ -284,39 +310,28 @@ tqGroupProject(const std::int32_t* q, std::size_t len, std::size_t budget,
         return stats;
     }
 
-    // Threshold: walking exponents downward, full buckets are kept
-    // until one no longer fits; there the first at_cut members (in
-    // member order) keep their term.  total > budget guarantees the
-    // walk stops at some bucket.
-    int cut = 0;
-    std::size_t at_cut = 0;
-    std::size_t remaining = budget;
-    for (int e = static_cast<int>(kMaxTermExponent) - 1; e >= 0; --e) {
-        const std::size_t c = counts[static_cast<std::size_t>(e)];
-        if (c <= remaining) {
-            remaining -= c;
-            continue;
-        }
-        cut = e;
-        at_cut = remaining;
-        break;
-    }
+    // Cut: walking exponents downward, full buckets are kept until one
+    // no longer fits; there the first at_cut members (in member order)
+    // keep their term.  total > budget guarantees the walk stops at
+    // some bucket.
+    int cut = top;
+    std::size_t at_cut = budget;
+    for (; counts[cut] <= at_cut; --cut)
+        at_cut -= counts[cut];
 
-    // Pass 2: rebuild each member from its kept terms.
-    std::size_t used_at_cut = 0;
+    // Rebuild each member from its terms above the cut, plus its term
+    // at the cut while the allowance lasts.
+    const std::uint64_t cut_bit = std::uint64_t{1} << cut;
+    const std::uint64_t above = ~std::uint64_t{0} << cut << 1;
     for (std::size_t i = 0; i < len; ++i) {
-        std::int64_t v = 0;
-        visitTerms(q[i], encoding, [&](std::int8_t exp, std::int8_t sign) {
-            bool keep = exp > cut;
-            if (exp == cut && used_at_cut < at_cut) {
-                keep = true;
-                ++used_at_cut;
-            }
-            if (!keep)
-                return;
-            const std::int64_t mag = std::int64_t{1} << exp;
-            v += sign >= 0 ? mag : -mag;
-        });
+        const TermMasks m = masks.masks(q[i]);
+        std::int64_t v = static_cast<std::int64_t>(m.pos & above) -
+                         static_cast<std::int64_t>(m.neg & above);
+        if (at_cut > 0 && ((m.pos | m.neg) & cut_bit) != 0) {
+            const auto term = static_cast<std::int64_t>(cut_bit);
+            v += (m.pos & cut_bit) != 0 ? term : -term;
+            --at_cut;
+        }
         out[i] = static_cast<std::int32_t>(v);
     }
     return stats;

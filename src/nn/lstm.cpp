@@ -136,12 +136,20 @@ Lstm::backward(const Tensor& dy)
             }
         }
 
-        Tensor xt({n, input_});
-        std::copy(cachedInput_.data() + t * n * input_,
-                  cachedInput_.data() + (t + 1) * n * input_, xt.data());
-
-        dwx += matmulTransA(dz, xt);
-        dwh += matmulTransA(dz, hs_[t]);
+        // dwx += dz^T x_t and dwh += dz^T h_t: the two matmulTransA
+        // products share one build of dz^T's lists.
+        dzT_.assignTransposed(dz.data(), n, 4 * hidden_);
+        const auto add_dzt_times = [&](const float* b, std::size_t cols,
+                                       Tensor& acc) {
+            Tensor g({4 * hidden_, cols});
+            kernels::KernelRegion kr(
+                kernels::KernelId::GemmAxpy,
+                static_cast<std::int64_t>(4 * hidden_ * n * cols));
+            sparseGemm(dzT_, b, cols, g.data());
+            acc += g;
+        };
+        add_dzt_times(cachedInput_.data() + t * n * input_, input_, dwx);
+        add_dzt_times(hs_[t].data(), hidden_, dwh);
         const kernels::KernelTable& kt = kernels::kernels();
         {
             kernels::KernelRegion kr(

@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "nn/module.hpp"
 #include "nn/weight_quantizer.hpp"
+#include "tensor/ops.hpp"
 
 namespace mrq {
 
@@ -56,6 +57,10 @@ class Lstm : public Module
     std::vector<Tensor> hs_;    ///< h_t, t = 0..T (h_0 zero).
     std::vector<Tensor> cs_;    ///< c_t.
     std::vector<Tensor> gates_; ///< [N, 4H] post-nonlinearity per step.
+
+    /** dz^T's nonzero lists, rebuilt per backward timestep and shared
+     *  by the dwx and dwh products. */
+    SparseRows dzT_;
 };
 
 } // namespace mrq

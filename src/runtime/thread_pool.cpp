@@ -132,17 +132,19 @@ ThreadPool::runInline(std::size_t num_chunks,
 }
 
 void
-ThreadPool::run(std::size_t num_chunks,
-                FunctionRef<void(std::size_t)> body)
+ThreadPool::run(std::size_t num_chunks, FunctionRef<void(std::size_t)> body,
+                bool hand_off)
 {
     if (num_chunks == 0)
         return;
     c_regions.add(1);
     c_chunks.add(static_cast<std::int64_t>(num_chunks));
-    // Nested regions and the single-thread pool execute the same chunk
-    // sequence inline; chunk boundaries are unchanged, so the results
-    // match the parallel execution bit for bit.
-    if (t_inside_parallel || threads_ == 1 || num_chunks == 1) {
+    // Regions not worth a hand-off, nested regions and the
+    // single-thread pool execute the same chunk sequence inline; chunk
+    // boundaries are unchanged, so the results match the parallel
+    // execution bit for bit.
+    if (!hand_off || t_inside_parallel || threads_ == 1 ||
+        num_chunks == 1) {
         runInline(num_chunks, body);
         return;
     }

@@ -16,10 +16,16 @@
  * order, so every result is bit-identical at any thread count
  * (including the serial MRQ_THREADS=1 execution of the same chunks).
  *
- * Nesting: a parallel region entered from inside a worker (e.g. a
- * matmul called from a parallelized per-image conv loop) runs inline
- * on the calling thread, so nested parallelism degrades gracefully
- * instead of deadlocking the pool.
+ * Inline regions: a region runs every chunk on the calling thread, in
+ * chunk order, when handing work to the workers would not pay —
+ * the pool has one thread, the region has one chunk, or the indices
+ * past the first chunk are under half a chunk (parallelHandOffPays),
+ * so a woken worker would get only a sliver.  The decision depends
+ * only on the problem size and the grain.  A region entered from
+ * inside a worker (e.g. a matmul called from a parallelized per-image
+ * conv loop) also runs inline, so nested parallelism degrades
+ * gracefully instead of deadlocking the pool.  Chunk boundaries and
+ * the fold order are the same either way, so the results are too.
  */
 
 #ifndef MRQ_RUNTIME_THREAD_POOL_HPP
@@ -63,18 +69,19 @@ class ThreadPool
     void resize(std::size_t threads);
 
     /**
-     * Execute body(chunk) for every chunk in [0, num_chunks).  Chunk c
-     * runs on thread (c mod threadCount()) — static round-robin, no
-     * work stealing — and the calling thread participates as thread 0.
-     * Exceptions thrown by chunk bodies are rethrown on the caller
-     * (first one wins).  Runs inline when the pool has one thread,
+     * Execute body(chunk) for every chunk in [0, num_chunks).  With
+     * @p hand_off set, chunk c runs on thread (c mod threadCount()) —
+     * static round-robin, no work stealing — and the calling thread
+     * participates as thread 0.  The caller runs every chunk itself,
+     * in order, when @p hand_off is clear, the pool has one thread,
      * there is one chunk, or the caller is itself a pool worker.
-     * @p body is a non-owning reference (dispatch never allocates);
-     * run() returns only after every chunk completed, so binding a
-     * caller-frame lambda is always safe.
+     * Exceptions thrown by chunk bodies are rethrown on the caller
+     * (first one wins).  @p body is a non-owning reference (dispatch
+     * never allocates); run() returns only after every chunk
+     * completed, so binding a caller-frame lambda is always safe.
      */
-    void run(std::size_t num_chunks,
-             FunctionRef<void(std::size_t)> body);
+    void run(std::size_t num_chunks, FunctionRef<void(std::size_t)> body,
+             bool hand_off);
 
   private:
     ThreadPool();
@@ -120,6 +127,23 @@ parallelChunks(std::size_t n, std::size_t grain)
 }
 
 /**
+ * True when a region of @p n indices in chunks of @p grain is worth
+ * handing to the workers: the indices past the caller's first chunk
+ * are at least half a chunk (grain / 2).  With two or more threads
+ * those indices hold the workers' round-robin share of a two-chunk
+ * region, and a region of three or more chunks always gives a worker
+ * a full chunk; so the rule inlines exactly the two-chunk regions
+ * whose second chunk is a sliver, where waking a worker costs more
+ * than the sliver's work.  A pure function of @p n and @p grain.
+ */
+inline bool
+parallelHandOffPays(std::size_t n, std::size_t grain)
+{
+    const std::size_t g = std::max<std::size_t>(1, grain);
+    return n > g && n - g >= g / 2;
+}
+
+/**
  * Grain (indices per chunk) for a loop whose per-index cost is about
  * @p work_per_index scalar operations: sized so one chunk amortizes
  * the dispatch overhead.  Depends only on the workload, keeping chunk
@@ -153,9 +177,10 @@ parallelFor(std::size_t n, std::size_t grain,
         body(0, n);
         return;
     }
-    ThreadPool::instance().run(chunks, [&](std::size_t c) {
-        body(c * g, std::min(n, (c + 1) * g));
-    });
+    ThreadPool::instance().run(
+        chunks,
+        [&](std::size_t c) { body(c * g, std::min(n, (c + 1) * g)); },
+        parallelHandOffPays(n, g));
 }
 
 /**
@@ -183,20 +208,27 @@ parallelReduce(std::size_t n, std::size_t grain, T identity, MapFn map,
     // whole fan-out is allocation-free under an obs::AllocGuard; only
     // outsized chunk counts fall back to the heap.
     constexpr std::size_t kInlinePartials = 32;
+    const bool hand_off = parallelHandOffPays(n, g);
     if (chunks <= kInlinePartials) {
         std::array<std::optional<T>, kInlinePartials> partials;
-        ThreadPool::instance().run(chunks, [&](std::size_t c) {
-            partials[c].emplace(map(c * g, std::min(n, (c + 1) * g)));
-        });
+        ThreadPool::instance().run(
+            chunks,
+            [&](std::size_t c) {
+                partials[c].emplace(map(c * g, std::min(n, (c + 1) * g)));
+            },
+            hand_off);
         T acc = std::move(identity);
         for (std::size_t c = 0; c < chunks; ++c)
             acc = combine(std::move(acc), std::move(*partials[c]));
         return acc;
     }
     std::vector<T> partials(chunks, identity);
-    ThreadPool::instance().run(chunks, [&](std::size_t c) {
-        partials[c] = map(c * g, std::min(n, (c + 1) * g));
-    });
+    ThreadPool::instance().run(
+        chunks,
+        [&](std::size_t c) {
+            partials[c] = map(c * g, std::min(n, (c + 1) * g));
+        },
+        hand_off);
     T acc = std::move(identity);
     for (std::size_t c = 0; c < chunks; ++c)
         acc = combine(std::move(acc), std::move(partials[c]));

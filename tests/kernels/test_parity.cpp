@@ -4,7 +4,8 @@
  * produce byte-identical results to the generic scalar kernels, at
  * every thread count, including odd sizes that exercise the masked
  * vector tails.  Also pins the streaming TQ helpers (tqValueKeepTop,
- * tqGroupProject) to the reference term_quant implementations and the
+ * tqGroupProject) to the reference term_quant implementations, checks
+ * that the group projection's terms nest across budgets, and pins the
  * lattice kernels to UniformQuantizer.
  */
 
@@ -12,6 +13,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -259,40 +261,154 @@ TEST_F(ParityTest, TqValueKeepTopMatchesTermQuantizeValue)
     }
 }
 
+/** A random group of lattice levels in [lo, hi]: about a quarter of
+ *  the members zero and an eighth at an end of the lattice. */
+std::vector<std::int64_t>
+randomLevels(std::size_t len, const kernels::LatticeParams& lp, Rng& rng)
+{
+    const auto span = static_cast<std::uint64_t>(lp.hi - lp.lo) + 1;
+    std::vector<std::int64_t> group(len);
+    for (std::int64_t& v : group) {
+        const std::uint64_t pick = rng.next() % 8;
+        if (pick < 2)
+            v = 0;
+        else if (pick == 2)
+            v = rng.next() % 2 == 0 ? lp.lo : lp.hi;
+        else
+            v = lp.lo + static_cast<std::int64_t>(rng.next() % span);
+    }
+    return group;
+}
+
+/** Lattices of 2-12 bits, signed and unsigned, in every encoding:
+ *  bits <= 8 project through the mask table, 10 and 12 through the
+ *  per-element masks.  Lengths 1-40 cover the tail groups; budgets
+ *  run from 0 to past the group's total. */
 TEST_F(ParityTest, TqGroupProjectMatchesTermQuantizeGroup)
 {
     Rng rng(106);
     const TermEncoding encodings[] = {TermEncoding::Naf, TermEncoding::Ubr,
                                       TermEncoding::Booth};
     for (TermEncoding enc : encodings) {
-        for (std::size_t len : {1u, 3u, 7u, 16u, 21u}) {
-            for (std::size_t budget : {0u, 1u, 5u, 20u, 200u}) {
-                for (int trial = 0; trial < 20; ++trial) {
-                    std::vector<std::int64_t> group(len);
-                    std::vector<std::int32_t> q(len);
-                    for (std::size_t i = 0; i < len; ++i) {
-                        group[i] =
-                            static_cast<std::int64_t>(rng.next() % 63) - 31;
-                        q[i] = static_cast<std::int32_t>(group[i]);
-                    }
-                    const GroupQuantResult want =
-                        termQuantizeGroup(group, budget, enc);
-                    std::vector<std::int32_t> out(len, 0);
-                    const kernels::TqGroupStats stats =
-                        kernels::tqGroupProject(q.data(), len, budget, enc,
-                                                out.data());
-                    for (std::size_t i = 0; i < len; ++i)
-                        EXPECT_EQ(out[i], want.values[i])
-                            << "len=" << len << " budget=" << budget
-                            << " i=" << i;
-                    EXPECT_EQ(stats.kept, want.keptTerms.size());
-                    EXPECT_EQ(stats.total, want.totalTerms);
-                    // In-place aliasing must give the same answer.
-                    kernels::tqGroupProject(q.data(), len, budget, enc,
-                                            q.data());
-                    for (std::size_t i = 0; i < len; ++i)
-                        EXPECT_EQ(q[i], out[i]);
+        for (int bits = 2; bits <= 12; ++bits) {
+            for (bool is_signed : {false, true}) {
+                const kernels::LatticeParams lp =
+                    kernels::makeLatticeParams(bits, 0.1f, is_signed);
+                const kernels::TermMaskTable masks(lp, enc);
+                if (bits <= 8) {
+                    ASSERT_TRUE(masks.fits());
                 }
+                if (bits >= 10) {
+                    ASSERT_FALSE(masks.fits());
+                }
+                for (std::size_t len = 1; len <= 40; ++len) {
+                    for (int trial = 0; trial < 3; ++trial) {
+                        const std::vector<std::int64_t> group =
+                            trial == 0 && len % 8 == 0
+                                ? std::vector<std::int64_t>(len, 0)
+                                : randomLevels(len, lp, rng);
+                        const std::vector<std::int32_t> q(group.begin(),
+                                                          group.end());
+                        const std::size_t total =
+                            termQuantizeGroup(group, 0, enc).totalTerms;
+                        for (std::size_t budget :
+                             {std::size_t{0}, std::size_t{1}, len / 2, len,
+                              2 * len, total > 0 ? total - 1 : 0, total,
+                              total + 1, total + 40}) {
+                            const GroupQuantResult want =
+                                termQuantizeGroup(group, budget, enc);
+                            std::vector<std::int32_t> out(len, 0);
+                            const kernels::TqGroupStats stats =
+                                kernels::tqGroupProject(q.data(), len,
+                                                        budget, masks,
+                                                        out.data());
+                            SCOPED_TRACE(::testing::Message()
+                                         << "bits=" << bits << " signed="
+                                         << is_signed << " len=" << len
+                                         << " budget=" << budget);
+                            for (std::size_t i = 0; i < len; ++i)
+                                ASSERT_EQ(out[i], want.values[i])
+                                    << "i=" << i;
+                            ASSERT_EQ(stats.kept, want.keptTerms.size());
+                            ASSERT_EQ(stats.total, want.totalTerms);
+                            // In-place aliasing must give the same
+                            // answer.
+                            std::vector<std::int32_t> in_place = q;
+                            kernels::tqGroupProject(in_place.data(), len,
+                                                    budget, masks,
+                                                    in_place.data());
+                            ASSERT_EQ(in_place, out);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** The terms of @p value in the reference encoder's decomposition, as
+ *  (positive, negative) exponent masks. */
+std::pair<std::uint64_t, std::uint64_t>
+referenceTermSets(std::int64_t value, TermEncoding enc)
+{
+    std::pair<std::uint64_t, std::uint64_t> sets{0, 0};
+    for (const Term& t : encodeTerms(value, enc))
+        (t.sign > 0 ? sets.first : sets.second) |= std::uint64_t{1}
+                                                   << t.exponent;
+    return sets;
+}
+
+/** Terms nest across budgets, as a property over random groups: for
+ *  every budget pair a < b each projected member's terms at a are a
+ *  subset of its terms at b, which are a subset of the input's terms.
+ *  Checked in NAF and UBR, where a subset of a value's terms
+ *  re-encodes to itself; a subset of Booth digits need not. */
+TEST_F(ParityTest, TqGroupProjectNestsAcrossBudgets)
+{
+    Rng rng(107);
+    for (TermEncoding enc : {TermEncoding::Naf, TermEncoding::Ubr}) {
+        for (int bits : {3, 5, 8, 10}) {
+            const kernels::LatticeParams lp =
+                kernels::makeLatticeParams(bits, 0.1f, true);
+            const kernels::TermMaskTable masks(lp, enc);
+            for (int trial = 0; trial < 12; ++trial) {
+                const std::size_t len = 1 + rng.next() % 24;
+                const std::vector<std::int64_t> group =
+                    randomLevels(len, lp, rng);
+                const std::vector<std::int32_t> q(group.begin(),
+                                                  group.end());
+                const std::size_t total =
+                    termQuantizeGroup(group, 0, enc).totalTerms;
+                // sets[b][i]: member i's terms at budget b; the last
+                // row holds the input's.
+                std::vector<std::vector<std::pair<std::uint64_t,
+                                                  std::uint64_t>>>
+                    sets(total + 3);
+                std::vector<std::int32_t> out(len);
+                for (std::size_t b = 0; b <= total + 1; ++b) {
+                    kernels::tqGroupProject(q.data(), len, b, masks,
+                                            out.data());
+                    for (std::size_t i = 0; i < len; ++i)
+                        sets[b].push_back(referenceTermSets(out[i], enc));
+                }
+                for (std::size_t i = 0; i < len; ++i)
+                    sets[total + 2].push_back(
+                        referenceTermSets(group[i], enc));
+                const auto subset = [](std::pair<std::uint64_t,
+                                                 std::uint64_t> x,
+                                       std::pair<std::uint64_t,
+                                                 std::uint64_t> y) {
+                    return (x.first & ~y.first) == 0 &&
+                           (x.second & ~y.second) == 0;
+                };
+                for (std::size_t a = 0; a < sets.size(); ++a)
+                    for (std::size_t b = a + 1; b < sets.size(); ++b)
+                        for (std::size_t i = 0; i < len; ++i)
+                            ASSERT_TRUE(subset(sets[a][i], sets[b][i]))
+                                << "bits=" << bits << " len=" << len
+                                << " budgets " << a << " < " << b
+                                << " member " << i << " value "
+                                << group[i];
             }
         }
     }

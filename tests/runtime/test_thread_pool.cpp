@@ -14,10 +14,14 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/fake_quant.hpp"
+#include "nn/lstm.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/ops.hpp"
 
@@ -210,6 +214,160 @@ TEST_F(ThreadPoolTest, NestedParallelRegionsRunInline)
     const std::size_t expected = cols * (cols - 1) / 2;
     for (std::size_t r = 0; r < rows; ++r)
         EXPECT_EQ(row_sums[r], expected);
+}
+
+/** The thread that ran each chunk of a parallelFor over @p n indices
+ *  in chunks of @p grain. */
+std::vector<std::thread::id>
+chunkThreads(std::size_t n, std::size_t grain)
+{
+    std::vector<std::thread::id> ids(parallelChunks(n, grain));
+    parallelFor(n, grain, [&](std::size_t b, std::size_t) {
+        ids[b / grain] = std::this_thread::get_id();
+    });
+    return ids;
+}
+
+std::int64_t
+counterValue(const std::string& name)
+{
+    for (const auto& cv : obs::MetricsRegistry::instance().snapshot().counters)
+        if (cv.name == name)
+            return cv.value;
+    return 0;
+}
+
+TEST_F(ThreadPoolTest, HandOffRuleDependsOnlyOnSizeAndGrain)
+{
+    EXPECT_FALSE(parallelHandOffPays(7, 7));   // one chunk
+    EXPECT_FALSE(parallelHandOffPays(8, 7));   // second chunk: 1 index
+    EXPECT_FALSE(parallelHandOffPays(9, 7));   // 2 < 7 / 2
+    EXPECT_TRUE(parallelHandOffPays(10, 7));   // 3 = 7 / 2
+    EXPECT_TRUE(parallelHandOffPays(11, 7));
+    EXPECT_TRUE(parallelHandOffPays(15, 7));   // three chunks
+    EXPECT_FALSE(parallelHandOffPays(192, 170));
+    EXPECT_FALSE(parallelHandOffPays(254, 170));
+    EXPECT_TRUE(parallelHandOffPays(255, 170));
+    EXPECT_TRUE(parallelHandOffPays(2, 1));
+    EXPECT_TRUE(parallelHandOffPays(2, 0)); // grain clamps to 1
+}
+
+TEST_F(ThreadPoolTest, SliverRegionRunsEveryChunkOnTheCaller)
+{
+    for (std::size_t threads : {2, 4}) {
+        ThreadPool::instance().resize(threads);
+        SCOPED_TRACE("pool size " + std::to_string(threads));
+        const std::vector<std::thread::id> ids = chunkThreads(8, 7);
+        ASSERT_EQ(ids.size(), 2u);
+        EXPECT_EQ(ids[0], std::this_thread::get_id());
+        EXPECT_EQ(ids[1], std::this_thread::get_id());
+    }
+}
+
+TEST_F(ThreadPoolTest, RegionWithHalfAChunkPastTheFirstHandsOff)
+{
+    for (std::size_t threads : {2, 4}) {
+        ThreadPool::instance().resize(threads);
+        for (std::size_t n : {11, 15}) {
+            SCOPED_TRACE("pool size " + std::to_string(threads) +
+                         ", n " + std::to_string(n));
+            const std::vector<std::thread::id> ids = chunkThreads(n, 7);
+            EXPECT_EQ(ids[0], std::this_thread::get_id());
+            EXPECT_NE(ids[1], std::this_thread::get_id());
+        }
+    }
+}
+
+TEST_F(ThreadPoolTest, PoolCountersIgnoreTheHandOffDecision)
+{
+    const bool prev = obs::setMetricsEnabled(true);
+    for (std::size_t threads : {1, 2, 4}) {
+        ThreadPool::instance().resize(threads);
+        for (std::size_t n : {8, 11, 15}) {
+            SCOPED_TRACE("pool size " + std::to_string(threads) +
+                         ", n " + std::to_string(n));
+            const std::int64_t regions0 =
+                counterValue("runtime.pool.regions");
+            const std::int64_t chunks0 = counterValue("runtime.pool.chunks");
+            parallelFor(n, 7, [](std::size_t, std::size_t) {});
+            EXPECT_EQ(counterValue("runtime.pool.regions") - regions0, 1);
+            EXPECT_EQ(counterValue("runtime.pool.chunks") - chunks0,
+                      static_cast<std::int64_t>(parallelChunks(n, 7)));
+        }
+    }
+    obs::setMetricsEnabled(prev);
+}
+
+TEST_F(ThreadPoolTest, ReduceOverSliverGeometriesBitIdentical)
+{
+    Rng rng(15);
+    const Tensor v = randomTensor({600}, rng, 100.0f);
+    for (std::size_t grain : {7, 170}) {
+        for (std::size_t n : {8, 9, 10, 11, 15, 192, 254, 255, 600}) {
+            SCOPED_TRACE("n " + std::to_string(n) + ", grain " +
+                         std::to_string(grain));
+            const auto sum = [&] {
+                return Tensor(
+                    {1},
+                    parallelReduce(
+                        n, grain, 0.0f,
+                        [&](std::size_t b, std::size_t e) {
+                            float s = 0.0f;
+                            for (std::size_t i = b; i < e; ++i)
+                                s += v[i];
+                            return s;
+                        },
+                        [](float acc, float part) { return acc + part; }));
+            };
+            ThreadPool::instance().resize(1);
+            const Tensor reference = sum();
+            for (std::size_t threads : {2, 4}) {
+                ThreadPool::instance().resize(threads);
+                expectBitIdentical(sum(), reference);
+            }
+        }
+    }
+}
+
+/** The LSTM's per-timestep GEMMs are the sliver regions the hand-off
+ *  rule inlines: forward output, dx and every gradient must not depend
+ *  on the pool size. */
+TEST_F(ThreadPoolTest, LstmForwardBackwardBitIdenticalAcrossPoolSizes)
+{
+    Rng data_rng(16);
+    const Tensor x = randomTensor({5, 8, 24}, data_rng);
+    const Tensor dy = randomTensor({5, 8, 48}, data_rng);
+    QuantContext ctx;
+    ctx.config.mode = QuantMode::Tq;
+    ctx.config.bits = 5;
+    ctx.config.groupSize = 16;
+    ctx.config.alpha = 12;
+    ctx.config.beta = 3;
+    const auto run = [&] {
+        Rng rng(17);
+        Lstm lstm(24, 48, rng);
+        lstm.setQuantContext(&ctx);
+        std::vector<Tensor> outs;
+        outs.push_back(lstm.forward(x));
+        outs.push_back(lstm.backward(dy));
+        std::vector<Parameter*> params;
+        lstm.collectParameters(params);
+        for (Parameter* p : params)
+            outs.push_back(p->grad);
+        return outs;
+    };
+    ThreadPool::instance().resize(1);
+    const std::vector<Tensor> reference = run();
+    for (std::size_t threads : {2, 4}) {
+        ThreadPool::instance().resize(threads);
+        SCOPED_TRACE("pool size " + std::to_string(threads));
+        const std::vector<Tensor> got = run();
+        ASSERT_EQ(got.size(), reference.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            SCOPED_TRACE("output " + std::to_string(i));
+            expectBitIdentical(got[i], reference[i]);
+        }
+    }
 }
 
 } // namespace
