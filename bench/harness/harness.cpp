@@ -12,7 +12,6 @@
 #include "obs/perf_counters.hpp"
 #include "obs/proc_stats.hpp"
 #include "obs/sampler.hpp"
-#include "obs/stats_server.hpp"
 #include "obs/trace_export.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -378,8 +377,6 @@ runRegisteredCases(const RunnerOptions& opts)
         std::fprintf(stderr, "bench harness: no cases match\n");
         return 1;
     }
-    // Live telemetry plane (no-op unless MRQ_STATS_* is set).
-    obs::StatsPlane::instance().startFromEnv();
     // Sampling profiler (no-op unless MRQ_SAMPLE / MRQ_SAMPLE_OUT):
     // armed once for the suite; runCase resets the aggregate per case.
     obs::startSamplerFromEnv();

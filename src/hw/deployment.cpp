@@ -66,11 +66,19 @@ writeU32(std::ofstream& out, std::uint32_t v)
     out.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
+/** Read @p n raw bytes; a short read (truncated image) is fatal. */
+void
+readRaw(std::ifstream& in, void* dst, std::size_t n)
+{
+    in.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
+    require(in.good(), "DeploymentImage::load: truncated image");
+}
+
 std::uint32_t
 readU32(std::ifstream& in)
 {
     std::uint32_t v = 0;
-    in.read(reinterpret_cast<char*>(&v), sizeof(v));
+    readRaw(in, &v, sizeof(v));
     return v;
 }
 
@@ -82,13 +90,16 @@ writeBytes(std::ofstream& out, const std::vector<std::uint8_t>& bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
+/** A length-prefixed byte field; the length may not run past the
+ *  @p end of the file, so a corrupt one cannot drive the allocation. */
 std::vector<std::uint8_t>
-readBytes(std::ifstream& in)
+readBytes(std::ifstream& in, std::streamoff end)
 {
     const std::uint32_t len = readU32(in);
-    require(len < (1u << 28), "DeploymentImage: corrupt byte length");
+    require(len <= end - static_cast<std::streamoff>(in.tellg()),
+            "DeploymentImage::load: corrupt byte length");
     std::vector<std::uint8_t> bytes(len);
-    in.read(reinterpret_cast<char*>(bytes.data()), len);
+    readRaw(in, bytes.data(), len);
     return bytes;
 }
 
@@ -219,8 +230,10 @@ DeploymentImage::save(const std::string& path) const
 DeploymentImage
 DeploymentImage::load(const std::string& path, const PackedTermFormat& fmt)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     require(in.good(), "DeploymentImage::load: cannot open '", path, "'");
+    const std::streamoff end = in.tellg();
+    in.seekg(0);
     require(readU32(in) == kMagic,
             "DeploymentImage::load: '", path, "' is not an image file");
 
@@ -228,6 +241,10 @@ DeploymentImage::load(const std::string& path, const PackedTermFormat& fmt)
     image.fmt_ = fmt;
     image.bits_ = static_cast<int>(readU32(in));
     image.groupSize_ = readU32(in);
+    require(image.groupSize_ >= 1 &&
+                image.groupSize_ <= (std::size_t{1} << fmt.indexBits),
+            "DeploymentImage::load: group size ", image.groupSize_,
+            " outside [1, 2^", fmt.indexBits, "]");
     const std::uint32_t rungs = readU32(in);
     require(rungs > 0 && rungs < 64, "DeploymentImage::load: bad ladder");
     for (std::uint32_t i = 0; i < rungs; ++i)
@@ -241,33 +258,38 @@ DeploymentImage::load(const std::string& path, const PackedTermFormat& fmt)
         const std::uint32_t name_len = readU32(in);
         require(name_len < 1024, "DeploymentImage::load: bad name");
         layer.name.resize(name_len);
-        in.read(layer.name.data(), name_len);
+        readRaw(in, layer.name.data(), name_len);
         layer.rows = readU32(in);
         layer.rowLen = readU32(in);
-        in.read(reinterpret_cast<char*>(&layer.scale),
-                sizeof(layer.scale));
+        readRaw(in, &layer.scale, sizeof(layer.scale));
         const std::uint32_t n_groups = readU32(in);
         const std::size_t groups_per_row =
             (layer.rowLen + image.groupSize_ - 1) / image.groupSize_;
         require(n_groups == layer.rows * groups_per_row,
                 "DeploymentImage::load: group count mismatch");
         for (std::uint32_t q = 0; q < n_groups; ++q) {
-            const std::size_t group_size = readU32(in);
-            auto terms = readBytes(in);
-            auto indexes = readBytes(in);
-            // Tail groups carry proportionally scaled rungs.
+            // Each group stores its column's member count: g, or the
+            // row's remainder for the tail group.
             const std::size_t col = q % groups_per_row;
             const std::size_t len = std::min(
                 image.groupSize_, layer.rowLen - col * image.groupSize_);
+            require(readU32(in) == len,
+                    "DeploymentImage::load: group size mismatch");
+            auto terms = readBytes(in, end);
+            auto indexes = readBytes(in, end);
+            for (std::uint8_t field : terms)
+                require((field >> 1) < (1u << fmt.exponentBits),
+                        "DeploymentImage::load: term exponent out of "
+                        "range");
+            // Tail groups carry proportionally scaled rungs.
             std::vector<std::size_t> rung_ladder;
             for (std::size_t rung : image.ladder_)
                 rung_ladder.push_back(
                     scaledGroupBudget(rung, image.groupSize_, len));
-            layer.groups.emplace_back(group_size, rung_ladder, fmt,
+            layer.groups.emplace_back(len, rung_ladder, fmt,
                                       std::move(terms),
                                       std::move(indexes));
         }
-        require(in.good(), "DeploymentImage::load: truncated layer");
         image.layers_.push_back(std::move(layer));
     }
     return image;

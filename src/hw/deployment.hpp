@@ -76,7 +76,14 @@ class DeploymentImage
     /** Term+index memory entries read to deploy at budget @p alpha. */
     std::size_t memoryEntriesFor(std::size_t alpha) const;
 
-    /** Serialize to / from a binary image file. */
+    /**
+     * Serialize to / from a binary image file.  load() throws
+     * FatalError on a truncated or corrupt file: every field must be
+     * present, byte lengths must fit the file, the group size must lie
+     * in [1, 2^indexBits], each group must store its column's member
+     * count, and every term exponent and weight index must fit its
+     * field — so an image it returns decodes at every rung.
+     */
     void save(const std::string& path) const;
     static DeploymentImage load(const std::string& path,
                                 const PackedTermFormat& fmt = {});

@@ -1,7 +1,7 @@
 /**
  * @file
- * Flop/byte accounting for the micro-kernel substrate (the roofline
- * half of the telemetry plane, obs/stats_server.hpp).
+ * Flop/byte accounting for the micro-kernel substrate (the kernel
+ * roofline).
  *
  * Each dispatched kernel family carries nominal per-element cost
  * constants: flops per element and bytes moved per element, where an
@@ -18,9 +18,10 @@
  * region) or recordKernelElems (counter only, for per-group hw-sim
  * hot paths).  The element counters are shape-derived and therefore
  * deterministic (safe for the JSONL sink); the wall-ns goes through
- * the timing family, which never reaches a deterministic sink.  The
- * exposition layer divides flops-per-elem * elems by the region time
- * to report achieved GFLOP/s against peakFlopsPerCycle() per ISA.
+ * the timing family, which never reaches a deterministic sink.
+ * perfbench's traced run sums flops-per-elem * elems over the
+ * families and divides by the traced pass time for its achieved
+ * kernel.gflop_per_s, read against peakFlopsPerCycle() per ISA.
  */
 
 #ifndef MRQ_KERNELS_ROOFLINE_HPP
@@ -65,8 +66,8 @@ struct KernelCost
 /** Cost constants for @p id (static storage). */
 const KernelCost& kernelCost(KernelId id);
 
-/** Nominal peak flops/cycle/core of one ISA variant (fma lanes x 2);
- *  the roofline ceiling the exposition layer reports against. */
+/** Nominal peak flops/cycle/core of one ISA variant (fma lanes x 2):
+ *  the roofline ceiling. */
 double peakFlopsPerCycle(Isa isa);
 
 namespace detail {

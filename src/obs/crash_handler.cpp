@@ -17,7 +17,6 @@
 #include "obs/heap_profiler.hpp"
 #include "obs/manifest.hpp"
 #include "obs/sigsafe.hpp"
-#include "obs/stats_server.hpp"
 #include "obs/watchdog.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -61,11 +60,6 @@ setPostmortemManifest(const std::string&)
 }
 
 void
-setPostmortemStatsLine(const char*)
-{
-}
-
-void
 heartbeat()
 {
 }
@@ -97,7 +91,6 @@ namespace {
 
 constexpr std::size_t kPathCap = 512;
 constexpr std::size_t kManifestCap = 4096;
-constexpr std::size_t kStatsCap = 1024;
 constexpr int kMaxFrames = 64;
 
 char g_dump_path[kPathCap];
@@ -105,16 +98,14 @@ char g_usr1_path[kPathCap];
 char g_git[128];
 char g_isa[32];
 
-/** Double-buffered pre-rendered lines: writers (RunScope, stats
- *  sampler) fill the inactive buffer under a mutex and flip the
- *  index; the handler reads the active buffer lock-free.  A torn
- *  read is impossible — the flip happens after the NUL is in place
- *  and a stale line is fine in a dump. */
+/** Double-buffered pre-rendered manifest line: writers (RunScope)
+ *  fill the inactive buffer under a mutex and flip the index; the
+ *  handler reads the active buffer lock-free.  A torn read is
+ *  impossible — the flip happens after the NUL is in place and a
+ *  stale line is fine in a dump. */
 std::mutex g_line_mutex;
 char g_manifest_line[2][kManifestCap];
 std::atomic<int> g_manifest_idx{-1};
-char g_stats_line[2][kStatsCap];
-std::atomic<int> g_stats_idx{-1};
 
 std::atomic<int> g_installed{0};
 std::atomic<int> g_dump_once{0};
@@ -177,7 +168,7 @@ signalName(int sig)
 
 // ---- Dump writer (async-signal-safe) ------------------------------
 
-/** Header + manifest + stats lines.  @p sig <= 0 means non-signal
+/** Header + manifest lines.  @p sig <= 0 means non-signal
  *  reason (terminate, hang, usr1); @p addr only for faults. */
 std::size_t
 writeDumpPrefix(int fd, const char* reason, int sig, const void* addr,
@@ -227,12 +218,6 @@ writeDumpPrefix(int fd, const char* reason, int sig, const void* addr,
     if (mi >= 0) {
         const char* m = g_manifest_line[mi];
         if (sigsafe::writeAll(fd, m, std::strlen(m)))
-            ++lines;
-    }
-    const int si = g_stats_idx.load(std::memory_order_acquire);
-    if (si >= 0) {
-        const char* s = g_stats_line[si];
-        if (sigsafe::writeAll(fd, s, std::strlen(s)))
             ++lines;
     }
     return lines;
@@ -403,7 +388,6 @@ gracefulHandler(int sig, siginfo_t*, void*)
     // the atomic tmp+rename writers mean a wedged flush can at worst
     // leave the previous file intact.
     flushActiveRunScope();
-    StatsPlane::instance().stop();
     std::_Exit(kGracefulExitCode);
 }
 
@@ -747,24 +731,6 @@ setPostmortemManifest(const std::string& manifestLine)
         g_manifest_line[next][n++] = '\n';
     g_manifest_line[next][n] = '\0';
     g_manifest_idx.store(next, std::memory_order_release);
-}
-
-void
-setPostmortemStatsLine(const char* statsLine)
-{
-    if (statsLine == nullptr)
-        return;
-    std::lock_guard<std::mutex> lock(g_line_mutex);
-    const int next =
-        (g_stats_idx.load(std::memory_order_relaxed) + 1) & 1;
-    std::size_t n = std::strlen(statsLine);
-    if (n > kStatsCap - 2)
-        n = kStatsCap - 2;
-    std::memcpy(g_stats_line[next], statsLine, n);
-    if (n == 0 || g_stats_line[next][n - 1] != '\n')
-        g_stats_line[next][n++] = '\n';
-    g_stats_line[next][n] = '\0';
-    g_stats_idx.store(next, std::memory_order_release);
 }
 
 void

@@ -238,18 +238,6 @@ currentThreadFlightName()
     return ring != nullptr ? ring->threadName : "";
 }
 
-std::vector<std::string>
-flightThreadNames()
-{
-    std::vector<std::string> names;
-    std::lock_guard<std::mutex> lock(g_slot_mutex);
-    for (const auto& ring : g_rings)
-        if (ring.state.load(std::memory_order_relaxed) == 1 &&
-            ring.threadName[0] != '\0')
-            names.emplace_back(ring.threadName);
-    return names;
-}
-
 std::uint64_t
 flightEventCount()
 {

@@ -21,8 +21,8 @@
  * slot is retired — the events stay drainable until the slot is
  * reclaimed by a new thread once all free slots are used.  Reading
  * event payloads (flightDrain, flightEventCount) is only exact from
- * serial points or post-crash; thread *names* are mutex-guarded and
- * may be listed live (the stats endpoint does).
+ * serial points or post-crash; thread *names* are written under the
+ * slot mutex.
  *
  * Knob: MRQ_FLIGHT=0/off disables recording (it is on by default —
  * the steady-state cost is a few tens of ns at epoch-cadence record
@@ -35,8 +35,6 @@
 #define MRQ_OBS_FLIGHT_RECORDER_HPP
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace mrq {
 namespace obs {
@@ -83,7 +81,7 @@ void flightMark(const char* name, std::int64_t a = -1);
 /**
  * Name the calling thread: forwards to pthread_setname_np (so the
  * name shows up in gdb/top/core files) and labels this thread's
- * flight-ring slot (so dumps and the stats endpoint can name it).
+ * flight-ring slot (so dumps can name it).
  * Registers a slot even while recording is disabled.
  */
 void setCurrentThreadName(const char* name);
@@ -91,10 +89,6 @@ void setCurrentThreadName(const char* name);
 /** This thread's flight name ("" when never named).  Async-signal-
  *  safe: reads one plain thread_local pointer. */
 const char* currentThreadFlightName();
-
-/** Names of every live registered thread (mutex-guarded; safe to call
- *  from the stats sampler while threads come and go). */
-std::vector<std::string> flightThreadNames();
 
 /** Total events ever recorded across all slots (exact from serial
  *  points only). */

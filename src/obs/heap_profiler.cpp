@@ -13,13 +13,11 @@
  * Mutable shared state that outlives arming (the heap stack
  * aggregate of obs/stack_profile.hpp) is intentionally immortal —
  * never destroyed — because interposed operator delete keeps running
- * through static destruction and must never race a dying mutex.  The
- * same reasoning the stats plane documents.
+ * through static destruction and must never race a dying mutex.
  */
 
 #include "obs/heap_profiler.hpp"
 
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -62,7 +60,6 @@ std::atomic<std::int64_t> g_free_count{0};
 std::atomic<std::int64_t> g_free_bytes{0};
 std::atomic<std::int64_t> g_samples{0};
 std::atomic<std::int64_t> g_sampled_bytes{0};
-std::atomic<std::int64_t> g_size_class[kHeapSizeClasses] = {};
 std::atomic<std::int64_t> g_interval_bytes{kHeapDefaultIntervalBytes};
 
 std::atomic<int> g_active_guards{0};
@@ -151,14 +148,6 @@ warmBacktrace()
         return true;
     }();
     (void)warmed;
-}
-
-/** log2 size-class bucket of an allocation request. */
-std::size_t
-sizeClassOf(std::size_t size)
-{
-    const std::size_t k = std::bit_width(size);
-    return k < kHeapSizeClasses ? k : kHeapSizeClasses - 1;
 }
 
 /** Charge @p weight_bytes to the calling thread's current (span,
@@ -257,8 +246,6 @@ heapOnAlloc(void* p, std::size_t size) noexcept
            !g_peak_bytes.compare_exchange_weak(
                peak, cur, std::memory_order_relaxed)) {
     }
-    g_size_class[sizeClassOf(size)].fetch_add(
-        1, std::memory_order_relaxed);
     HeapSlot* slot = ensureHeapSlot();
     if (slot != nullptr) {
         slot->allocBytes.fetch_add(bytes, std::memory_order_relaxed);
@@ -401,8 +388,6 @@ resetHeapProfile()
     g_alloc_bytes.store(0, std::memory_order_relaxed);
     g_free_count.store(0, std::memory_order_relaxed);
     g_free_bytes.store(0, std::memory_order_relaxed);
-    for (auto& c : g_size_class)
-        c.store(0, std::memory_order_relaxed);
     const std::int64_t cur =
         g_current_bytes.load(std::memory_order_relaxed);
     g_peak_bytes.store(cur > 0 ? cur : 0,
@@ -432,9 +417,6 @@ heapStatsSnapshot()
     s.samples = c.samples;
     s.sampledBytes = heapSampledBytes();
     s.guardViolations = c.guardViolations;
-    for (std::size_t i = 0; i < kHeapSizeClasses; ++i)
-        s.sizeClass[i] =
-            g_size_class[i].load(std::memory_order_relaxed);
     return s;
 }
 

@@ -20,13 +20,12 @@
  *    family (kernels/roofline.hpp) — the exact attribution machinery
  *    the SIGPROF sampler threads through KernelRegion — and charges
  *    the accumulated bytes to that (span, kernel, stack) key.  Live
- *    totals (current/peak bytes, allocation rate, a log2 size-class
- *    histogram, per-thread churn) feed the stats endpoint
- *    (obs/exposition.hpp) and post-mortem dumps; the aggregate (the
- *    heap instance of obs/stack_profile.hpp) is emitted as a kind
- *    "heap" stack profile weighted by bytes (MRQ_HEAPPROF_OUT, "{run}"
- *    substituted), checked and diffed by the same tools as the CPU
- *    profile.
+ *    totals (current/peak bytes, allocation counts) feed the bench
+ *    harness resources map and post-mortem dumps; the aggregate (the
+ *    heap instance of obs/stack_profile.hpp, plus per-thread churn
+ *    rows) is emitted as a kind "heap" stack profile weighted by
+ *    bytes (MRQ_HEAPPROF_OUT, "{run}" substituted), checked and
+ *    diffed by the same tools as the CPU profile.
  *
  *  - AllocGuard (MRQ_ALLOC_GUARD=on|strict): an RAII region declaring
  *    "this path must not allocate".  A violating allocation inside
@@ -67,7 +66,6 @@ constexpr std::int64_t kHeapDefaultIntervalBytes = 512 * 1024;
 /** Compile-time bounds of the static violation/churn storage. */
 constexpr std::size_t kHeapMaxFrames = 24;
 constexpr std::size_t kHeapMaxThreads = 64;
-constexpr std::size_t kHeapSizeClasses = 32; ///< log2 buckets.
 
 /** Strict guard violations exit with the watchdog strict-fatal code. */
 constexpr int kAllocGuardExitCode = 70;
@@ -172,10 +170,6 @@ struct HeapStats
     std::int64_t samples = 0;
     std::int64_t sampledBytes = 0;
     std::int64_t guardViolations = 0;
-    /** Allocation counts by log2 size class: bucket k counts
-     *  requests with size in [2^(k-1), 2^k); the last bucket
-     *  absorbs everything larger. */
-    std::int64_t sizeClass[kHeapSizeClasses] = {};
 };
 HeapStats heapStatsSnapshot();
 

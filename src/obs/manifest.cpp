@@ -13,7 +13,6 @@
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/stack_profile.hpp"
-#include "obs/stats_server.hpp"
 #include "obs/trace_export.hpp"
 
 #ifndef MRQ_GIT_DESCRIBE
@@ -126,20 +125,11 @@ RunScope::RunScope(RunManifest manifest, bool verbose)
     : manifest_(std::move(manifest)), verbose_(verbose)
 {
     applyBuildProvenance(&manifest_);
-    // The live stats plane (MRQ_STATS_SOCK / MRQ_STATS_EVERY) needs
-    // metric collection on even without an offline sink — but without
-    // the fresh-block reset: a scrape wants cumulative process totals
-    // (Prometheus counter semantics), and resetting here would change
-    // recorded metrics relative to a plain run.
-    const bool stats_live =
-        envSet("MRQ_STATS_SOCK") || envSet("MRQ_STATS_EVERY");
     const bool sink_live = envSet("MRQ_METRICS_OUT") || traceEnabled() ||
                            verbose_;
     prevVerbose_ = setLogVerbose(verbose_);
     if (sink_live) {
         MetricsRegistry::instance().reset();
-        prevEnabled_ = setMetricsEnabled(true);
-    } else if (stats_live) {
         prevEnabled_ = setMetricsEnabled(true);
     } else {
         prevEnabled_ = metricsEnabled();
@@ -154,8 +144,6 @@ RunScope::RunScope(RunManifest manifest, bool verbose)
     // this run's manifest line for post-mortem dumps.
     if (installCrashHandlersFromEnv())
         setPostmortemManifest(manifestJson(manifest_));
-    if (stats_live)
-        StatsPlane::instance().startFromEnv();
     // Sampling profiler (MRQ_SAMPLE / MRQ_SAMPLE_OUT): idempotent —
     // already-running (e.g. armed by an outer scope or the bench
     // harness) just keeps running.

@@ -58,14 +58,13 @@ namespace {
 // ------------------------------------------------------------------
 // Shard storage.
 //
-// Each shard is written by exactly one thread, but — since the stats
-// plane (obs/stats_server.hpp) snapshots the registry from a
-// background sampler thread while hot loops are still recording —
-// every slot a reader can touch is a relaxed atomic and every block
-// of slots is published with a release store.  The writer never uses
-// an atomic RMW (single-writer load+store keeps the hot path at
-// plain-move cost); the reader gets word-atomic, never-torn values
-// that are at worst a few updates stale.  Capacities are fixed so a
+// Each shard is written by exactly one thread, but — since snapshot()
+// may read the registry from another thread while hot loops are still
+// recording — every slot a reader can touch is a relaxed atomic and
+// every block of slots is published with a release store.  The writer
+// never uses an atomic RMW (single-writer load+store keeps the hot
+// path at plain-move cost); the reader gets word-atomic, never-torn
+// values that are at worst a few updates stale.  Capacities are fixed so a
 // block address never moves after publication; updates past the caps
 // are dropped and counted (debugDroppedUpdates).
 // ------------------------------------------------------------------
@@ -413,8 +412,8 @@ MetricsRegistry::snapshot() const
     // Aggregate shards: all sharded values are integers, so the sum
     // is independent of how work was distributed over threads.  Slot
     // loads are relaxed atomics, so aggregating concurrently with
-    // hot-path writers (the stats-plane sampler) reads clean values —
-    // each at worst a few updates stale, never torn.
+    // hot-path writers reads clean values — each at worst a few
+    // updates stale, never torn.
     std::vector<std::int64_t> counters(im.counterNames.size(), 0);
     std::vector<std::vector<std::int64_t>> hists(im.histNames.size());
     std::vector<std::int64_t> weighted(im.histNames.size(), 0);

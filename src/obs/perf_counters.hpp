@@ -11,8 +11,8 @@
  * whole layer degrades to a silent no-op in that case — every scope
  * still runs, readings just come back invalid.  Counter values are
  * inherently non-deterministic and flow only into the perf side store
- * rendered by the exposition layer and the bench harness's
- * noise-gated `resources` map, never into a deterministic sink.
+ * read by the bench harness's noise-gated `resources` map, never into
+ * a deterministic sink.
  *
  * Scoping: the bench harness attaches one PerfScope per timed rep and
  * the trainer one per epoch; totals accumulate per scope name.
@@ -84,8 +84,8 @@ bool perfEnabled();
  *  unavailable; returns the previous setting. */
 bool debugForcePerfUnavailable(bool on);
 
-// ---- per-scope totals side store (non-deterministic; exposition
-// ---- layer + bench `resources` only, never JSONL) ----
+// ---- per-scope totals side store (non-deterministic; bench
+// ---- `resources` only, never JSONL) ----
 
 /** Accumulated readings of every PerfScope with one name. */
 struct PerfTotals

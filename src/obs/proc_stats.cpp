@@ -1,76 +1,27 @@
-#include "proc_stats.hpp"
+#include "obs/proc_stats.hpp"
 
-#include <cstdio>
-#include <cstring>
+#include "obs/sigsafe.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
+#ifdef MRQ_HAVE_SIGSAFE_IO
 #include <sys/resource.h>
-#include <unistd.h>
-#define MRQ_HAVE_RUSAGE 1
 #endif
 
 namespace mrq {
 namespace obs {
 
-namespace {
-
-/** Parse "Key:   <value> kB" style lines from /proc/self/status. */
-bool
-parseStatusLine(const char* line, const char* key, std::int64_t* out)
-{
-    const std::size_t klen = std::strlen(key);
-    if (std::strncmp(line, key, klen) != 0)
-        return false;
-    long long v = 0;
-    if (std::sscanf(line + klen, " %lld", &v) != 1)
-        return false;
-    *out = static_cast<std::int64_t>(v);
-    return true;
-}
-
-void
-readProcStatus(ProcStats* s)
-{
-    std::FILE* f = std::fopen("/proc/self/status", "r");
-    if (f == nullptr)
-        return;
-    char line[256];
-    while (std::fgets(line, sizeof line, f) != nullptr) {
-        parseStatusLine(line, "VmRSS:", &s->rssKb) ||
-            parseStatusLine(line, "VmHWM:", &s->peakRssKb) ||
-            parseStatusLine(line, "Threads:", &s->threads);
-    }
-    std::fclose(f);
-}
-
-void
-readCpuSeconds(ProcStats* s)
-{
-#ifdef MRQ_HAVE_RUSAGE
-    struct rusage ru;
-    if (getrusage(RUSAGE_SELF, &ru) == 0) {
-        s->cpuSeconds =
-            static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
-            static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) *
-                1e-6;
-        // getrusage also knows peak RSS (KiB on Linux) — use it as the
-        // fallback when /proc was unreadable.
-        if (s->peakRssKb < 0 && ru.ru_maxrss > 0)
-            s->peakRssKb = static_cast<std::int64_t>(ru.ru_maxrss);
-    }
-#else
-    (void)s;
-#endif
-}
-
-} // namespace
-
 ProcStats
 readProcStats()
 {
     ProcStats s;
-    readProcStatus(&s);
-    readCpuSeconds(&s);
+#ifdef MRQ_HAVE_SIGSAFE_IO
+    s.peakRssKb = sigsafe::peakRssKb();
+    // getrusage also knows peak RSS (KiB on Linux) — the fallback when
+    // /proc was unreadable.
+    struct rusage ru;
+    if (s.peakRssKb < 0 && getrusage(RUSAGE_SELF, &ru) == 0 &&
+        ru.ru_maxrss > 0)
+        s.peakRssKb = static_cast<std::int64_t>(ru.ru_maxrss);
+#endif
     return s;
 }
 

@@ -25,10 +25,9 @@
  * Off-CPU accounting rides the same module: the thread pool reports
  * busy / queue-wait / idle transitions through noteThreadState /
  * noteThreadBusy, so each worker's wall clock decomposes into
- * on-CPU and two flavours of off-CPU time.  The breakdown feeds the
- * stats endpoint (obs/exposition.hpp), periodic flight-recorder
- * checkpoints ("tstate.<thread>" metric events) and the profile's
- * thread rows.
+ * on-CPU and two flavours of off-CPU time.  The breakdown feeds
+ * periodic flight-recorder checkpoints ("tstate.<thread>" metric
+ * events), the profile's thread rows and perfbench's pool.* metrics.
  *
  * Output is a kind "cpu" stack profile (MRQ_SAMPLE_OUT, schema and
  * tools in obs/stack_profile.hpp; "{run}" placeholder substituted
@@ -176,7 +175,7 @@ void resetThreadTime();
 // ---- Signal interplay / test hooks --------------------------------
 
 /** Block SIGPROF in the calling thread so it is never sampled (drain
- *  thread, stats plane, watchdog, dump paths). */
+ *  thread, watchdog, dump paths). */
 void blockSamplingInThisThread();
 
 /** Deliver one SIGPROF to the calling thread synchronously (raise),

@@ -198,8 +198,8 @@ readFile(const char* path, char* buf, std::size_t cap)
 }
 
 /** Peak resident set (VmHWM) in kB from /proc/self/status; -1 when
- *  unavailable.  Raw read + integer parse — safe inside a handler,
- *  unlike obs::readProcStats() (which builds std::strings). */
+ *  unavailable.  Raw read + integer parse — safe inside a handler;
+ *  obs::readProcStats() adds a getrusage() fallback on top. */
 inline long long
 peakRssKb()
 {

@@ -201,15 +201,6 @@ writeTrace(const std::string& path)
     if (base == std::numeric_limits<std::int64_t>::max())
         base = 0;
 
-    // Surface ring overflow on the live stats endpoint.  Recorded at
-    // flush time, which every sink-ordering puts *after* the
-    // deterministic snapshots (RunScope writes JSONL first, the bench
-    // harness snapshots before flushing traces), so the possibly
-    // thread-schedule-dependent drop count never reaches them.
-    if (dropped > 0 && metricsEnabled())
-        MetricsRegistry::instance().addCounterNamed(
-            "trace.dropped_events", static_cast<std::int64_t>(dropped));
-
     std::vector<Rendered> events;
     char buf[256];
 

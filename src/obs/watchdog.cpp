@@ -65,9 +65,9 @@ Watchdog::raise(const char* severity, const char* rule,
     ++alerts_;
     MetricsRegistry::instance().recordAlert(severity, rule, context,
                                             batch, detail);
-    // Alert totals as live counters (deterministic: rules fire on
-    // deterministic values), so the stats endpoint shows them without
-    // waiting for the JSONL footer.
+    // Alert totals as counters (deterministic: rules fire on
+    // deterministic values), so they reach the metrics JSONL and the
+    // bench `metrics` maps like any other counter.
     MetricsRegistry::instance().addCounterNamed(
         std::string("watchdog.alerts.") + severity, 1);
     MetricsRegistry::instance().addCounterNamed(

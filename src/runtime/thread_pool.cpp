@@ -215,7 +215,7 @@ void
 ThreadPool::workerLoop(std::size_t index, std::uint64_t seen)
 {
     // Shutdown signals stay with the main thread; the worker gets a
-    // name for dumps, the stats endpoint and external tools.
+    // name for dumps, profiles and external tools.
     obs::blockShutdownSignalsInThisThread();
     char name[16];
     std::snprintf(name, sizeof name, "mrq-pool-%zu", index);

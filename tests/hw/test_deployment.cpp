@@ -9,6 +9,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <optional>
+#include <string>
 
 #include "core/fake_quant.hpp"
 #include "core/uniform_quant.hpp"
@@ -166,6 +169,63 @@ TEST(Deployment, LoadRejectsGarbage)
     }
     EXPECT_THROW(DeploymentImage::load(path), FatalError);
     std::remove(path.c_str());
+}
+
+TEST(Deployment, LoadRejectsEveryTruncationAndBitFlip)
+{
+    // Deterministic mutation fuzzing: every proper prefix of a saved
+    // image and every single-bit flip of it.  load() must either
+    // reject the bytes with FatalError or return an image whose every
+    // layer decodes at every rung — no crash, no UB, no runaway
+    // allocation (the ASan+UBSan leg runs this).
+    Rng rng(8);
+    auto model = smallCnn(rng);
+    const auto image = DeploymentImage::build(*model, 5, 16, kLadder);
+    const std::string path = ::testing::TempDir() + "mrq_fuzz.bin";
+    image.save(path);
+    std::string saved;
+    {
+        std::ifstream in(path, std::ios::binary);
+        saved.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(saved.size(), 0u);
+
+    // True when load() rejects @p bytes; fails the test (by throwing
+    // or by an expectation) when it accepts bytes it cannot decode.
+    const auto rejects = [&](const std::string& bytes) {
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+        std::optional<DeploymentImage> loaded;
+        try {
+            loaded = DeploymentImage::load(path);
+        } catch (const FatalError&) {
+            return true;
+        }
+        for (std::size_t alpha : loaded->ladder())
+            for (std::size_t l = 0; l < loaded->layers().size(); ++l) {
+                const LayerImage& layer = loaded->layers()[l];
+                EXPECT_EQ(loaded->layerWeights(l, alpha).size(),
+                          layer.rows * layer.rowLen);
+            }
+        return false;
+    };
+
+    EXPECT_FALSE(rejects(saved));
+    for (std::size_t len = 0; len < saved.size(); ++len)
+        EXPECT_TRUE(rejects(saved.substr(0, len)))
+            << "truncated to " << len << " bytes";
+    std::size_t rejected = 0;
+    for (std::size_t bit = 0; bit < saved.size() * 8; ++bit) {
+        std::string flipped = saved;
+        flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^
+                                             (1 << (bit % 8)));
+        rejected += rejects(flipped) ? 1 : 0;
+    }
+    std::remove(path.c_str());
+    // Both outcomes occur: a flipped sign bit is still a valid image,
+    // a flipped magic is not.
+    EXPECT_GT(rejected, 0u);
+    EXPECT_LT(rejected, saved.size() * 8);
 }
 
 TEST(Deployment, RejectsModelWithoutWeights)

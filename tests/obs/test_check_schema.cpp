@@ -22,7 +22,6 @@
 
 #include "harness/report.hpp"
 #include "obs/crash_handler.hpp"
-#include "obs/exposition.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/inspect.hpp"
 #include "obs/manifest.hpp"
@@ -30,7 +29,6 @@
 #include "obs/stack_profile.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
-#include "runtime/thread_pool.hpp"
 
 #ifndef MRQ_SOURCE_DIR
 #define MRQ_SOURCE_DIR "."
@@ -375,43 +373,6 @@ TEST(CheckSchema, WriteTrace)
     fs::remove(spanless);
 }
 
-TEST(CheckSchema, RenderStatsJsonAndPrometheus)
-{
-    if (!pythonAvailable())
-        GTEST_SKIP() << "python3 not available";
-    const bool prev = obs::setMetricsEnabled(true);
-    obs::MetricsRegistry::instance().addCounterNamed("schema.stats", 3);
-    // A pool region gives thread_time a row per worker.
-    const std::size_t prev_threads = ThreadPool::instance().threadCount();
-    ThreadPool::instance().resize(2);
-    parallelFor(64, 1, [](std::size_t, std::size_t) {});
-    const obs::StatsSnapshot snap = obs::collectStatsSnapshot();
-    ThreadPool::instance().resize(prev_threads);
-    obs::MetricsRegistry::instance().reset();
-    obs::setMetricsEnabled(prev);
-
-    const fs::path json = tempFile("stats.json");
-    std::ofstream(json, std::ios::binary) << obs::renderStatsJson(snap);
-    expectMutationsRejected(
-        "stats", json,
-        {{"fields are typed", R"("samples":\d+)", R"("samples":"0")"},
-         {"thread_time values >= 0", R"("busy_ns":\d+)",
-          R"("busy_ns":-1)"},
-         {"v2 heap has 32 size classes", R"("size_class":\[)",
-          R"("size_class":[0,)"},
-         {"v1 has no heap", R"("version":2)", R"("version":1)"}});
-
-    const fs::path prom = tempFile("stats.prom");
-    std::ofstream(prom, std::ios::binary) << obs::renderPrometheus(snap);
-    expectMutationsRejected(
-        "prom", prom,
-        {{"every sample has a # TYPE line", "^# TYPE [^\n]*\n", ""},
-         {"labels are well-formed", R"(\{([a-z_]+)=")", R"({9$01=")"},
-         {"values are numeric", "(\n[a-z_]+ )[^\n]+", "$01abc"}});
-    fs::remove(json);
-    fs::remove(prom);
-}
-
 TEST(CheckSchema, Usr1PostmortemDump)
 {
     if (!pythonAvailable())
@@ -464,7 +425,8 @@ TEST(CheckSchema, Usr1PostmortemDump)
           R"("flight_events": \d+)", R"("flight_events": 999)"},
          {"nothing follows the end line",
           "(\\{\"type\": \"postmortem_end\"[^\n]*\n)",
-          "$01{\"type\": \"stats\", \"sample\": 1}\n"},
+          "$01{\"type\": \"frame\", \"index\": 0, \"pc\": \"0x1\", "
+          "\"symbol\": \"?\", \"object\": \"?\"}\n"},
          {"the end line is present",
           "\\{\"type\": \"postmortem_end\"[^\n]*\n", ""}});
     fs::remove(signal);

@@ -4,12 +4,10 @@
 #include <string>
 #include <thread>
 #include <unistd.h>
-#include <vector>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace {
 
@@ -153,28 +151,6 @@ TEST(FlightRecorder, SpanHook)
                        "\"unit.flight_span\", \"a\": 42"),
               std::string::npos)
         << out;
-}
-
-TEST(FlightRecorder, ThreadNamesListsPoolWorkers)
-{
-    FlightTestGuard guard;
-    ThreadPool& pool = ThreadPool::instance();
-    if (pool.threadCount() < 2)
-        GTEST_SKIP() << "single-threaded pool";
-    // Run one job so every worker has passed its naming preamble.
-    std::vector<int> sink(pool.threadCount() * 4, 0);
-    parallelFor(sink.size(), 1,
-                [&](std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i)
-                        sink[i] = 1;
-                });
-    const std::vector<std::string> names = obs::flightThreadNames();
-    bool found_pool = false;
-    for (const std::string& n : names)
-        if (n.rfind("mrq-pool-", 0) == 0)
-            found_pool = true;
-    EXPECT_TRUE(found_pool)
-        << "no mrq-pool-N in " << names.size() << " names";
 }
 
 TEST(FlightRecorder, CurrentThreadNameRoundTrip)

@@ -1,12 +1,12 @@
 /**
  * @file
  * Heap-observability tests: profiler lifecycle and env knobs, counter
- * and size-class accounting through the interposed operators,
- * span/kernel attribution of sampled allocation stacks, the JSONL
- * schema round-trip against tools/check_schema.py profile and a
+ * accounting through the interposed operators, span/kernel
+ * attribution of sampled allocation stacks, the JSONL schema
+ * round-trip against tools/check_schema.py profile and a
  * profile_diff.py self-diff, the tool's folded rendering, both
- * profilers armed at once, stats-endpoint exposure, and the
- * AllocGuard no-alloc regions — counting,
+ * profilers armed at once, and the AllocGuard no-alloc regions —
+ * counting,
  * dismiss(), pool inheritance, and (in the death-test suite) the
  * strict mode's attributed exit 70.
  *
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "kernels/roofline.hpp"
-#include "obs/exposition.hpp"
 #include "obs/heap_profiler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
@@ -150,7 +149,7 @@ TEST(HeapProfiler, EnvKnobsClampAndImplyEnable)
     obs::resetHeapProfile();
 }
 
-TEST(HeapProfiler, CountersTrackAllocFreeAndSizeClasses)
+TEST(HeapProfiler, CountersTrackAllocAndFree)
 {
     if (!obs::heapInterpositionActive())
         GTEST_SKIP() << "replacement operators not linked";
@@ -166,9 +165,6 @@ TEST(HeapProfiler, CountersTrackAllocFreeAndSizeClasses)
     EXPECT_GE(stats.samples, 4)
         << "64 KiB allocations at the 4 KiB floor must all sample";
     EXPECT_GT(stats.sampledBytes, 0);
-    // A 64 KiB request lands in the log2(65536) = 17 bucket
-    // ([2^16, 2^17)).
-    EXPECT_GE(stats.sizeClass[17], 4);
 }
 
 TEST(HeapProfiler, SamplesAttributeSpanAndKernel)
@@ -387,28 +383,6 @@ TEST(HeapProfiler, BothProfilersArmedWriteValidProfiles)
     }
     fs::remove(cpu);
     fs::remove(mem);
-}
-
-TEST(HeapProfiler, StatsEndpointExposesHeapState)
-{
-    if (!obs::heapInterpositionActive())
-        GTEST_SKIP() << "replacement operators not linked";
-    HeapProfGuard guard;
-    ASSERT_TRUE(guard.started());
-    churnHeap();
-
-    const obs::StatsSnapshot snap = obs::collectStatsSnapshot();
-    EXPECT_TRUE(snap.heapInterposed);
-    EXPECT_TRUE(snap.heapProfilerRunning);
-    EXPECT_GE(snap.heap.allocCount, 4);
-
-    const std::string json = obs::renderStatsJson(snap);
-    EXPECT_NE(json.find("\"heap\""), std::string::npos);
-    EXPECT_NE(json.find("\"interposed\":true"), std::string::npos);
-
-    const std::string prom = obs::renderPrometheus(snap);
-    EXPECT_NE(prom.find("mrq_heap_interposed 1"), std::string::npos);
-    EXPECT_NE(prom.find("mrq_heap_alloc_total"), std::string::npos);
 }
 
 // ---- AllocGuard ---------------------------------------------------

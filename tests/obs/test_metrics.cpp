@@ -1,17 +1,21 @@
 /**
  * @file
  * Metrics registry tests: deterministic aggregation across threads,
- * disabled-mode no-op guarantees, and byte-identical JSONL output at
- * different pool sizes.  The concurrent tests double as the TSan
- * target for the sharded record path.
+ * disabled-mode no-op guarantees, byte-identical JSONL output at
+ * different pool sizes, and never-torn snapshots read while writers
+ * record.  The concurrent tests double as the TSan target for the
+ * sharded record path.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "obs/metrics.hpp"
 #include "runtime/thread_pool.hpp"
@@ -235,6 +239,49 @@ TEST(Metrics, NamedCounterAccumulates)
             EXPECT_EQ(cv.value, 7);
         }
     EXPECT_TRUE(found);
+}
+
+TEST(Metrics, SnapshotNeverTornUnderConcurrentWriters)
+{
+    // snapshot() may run on another thread while pool workers hammer
+    // the sharded hot path (metrics.hpp); under TSan this is the race
+    // check, everywhere it is the torn-read check.
+    MetricsTestGuard guard(true, false);
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+    reg.reset();
+    static obs::Counter counter("test.metrics.torn");
+    const auto value = [&reg] {
+        for (const auto& cv : reg.snapshot().counters)
+            if (cv.name == "test.metrics.torn")
+                return cv.value;
+        return std::int64_t{0};
+    };
+
+    ThreadPool::instance().resize(4);
+    const std::int64_t n = 200000;
+    std::atomic<bool> done{false};
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
+    std::thread reader([&] {
+        while (!done.load(std::memory_order_acquire)) {
+            const std::int64_t v = value();
+            lo = std::min(lo, v);
+            hi = std::max(hi, v);
+        }
+    });
+    parallelFor(static_cast<std::size_t>(n), 256,
+                [&](std::size_t b, std::size_t e) {
+                    for (std::size_t i = b; i < e; ++i)
+                        counter.add(1);
+                });
+    done.store(true, std::memory_order_release);
+    reader.join();
+
+    // Any mid-run read sits in [0, n]: never negative, never over.
+    EXPECT_GE(lo, 0);
+    EXPECT_LE(hi, n);
+    // After quiescence the snapshot is the exact total.
+    EXPECT_EQ(value(), n);
 }
 
 } // namespace

@@ -23,7 +23,6 @@
 
 #include "kernels/roofline.hpp"
 #include "obs/crash_handler.hpp"
-#include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -332,31 +331,6 @@ TEST(Sampler, ThreadTimeDecomposesPoolWallClock)
     EXPECT_GT(busy_total, 0);
     EXPECT_TRUE(worker_seen)
         << "no pool worker accumulated on-CPU time";
-}
-
-TEST(Sampler, StatsEndpointExposesSamplerAndThreadTime)
-{
-    SamplerGuard guard;
-    ASSERT_TRUE(guard.started());
-    obs::resetSamplerProfile();
-    captureSamples(8);
-
-    const obs::StatsSnapshot snap = obs::collectStatsSnapshot();
-    EXPECT_TRUE(snap.profilerRunning);
-    EXPECT_GE(snap.profilerSamples, 8);
-    EXPECT_GE(snap.profilerDropped, 0);
-
-    const std::string json = obs::renderStatsJson(snap);
-    EXPECT_NE(json.find("\"sampler\""), std::string::npos);
-    EXPECT_NE(json.find("\"running\":true"), std::string::npos);
-    EXPECT_NE(json.find("\"thread_time\""), std::string::npos);
-
-    const std::string prom = obs::renderPrometheus(snap);
-    EXPECT_NE(prom.find("mrq_sampler_running 1"), std::string::npos);
-    EXPECT_NE(prom.find("mrq_sampler_samples_total"),
-              std::string::npos);
-    EXPECT_NE(prom.find("mrq_thread_time_seconds_total"),
-              std::string::npos);
 }
 
 // ---- Crash interplay (excluded from the TSan leg) -----------------

@@ -10,10 +10,9 @@ audit makes that a CI failure instead of a review-time catch.
 
 The same audit keeps the README's knob table honest: the set of
 "MRQ_*" names the C++ code under src/ and bench/ reads must equal the
-set named in README.md's "Environment variables" section (a README
-name ending in "*", like MRQ_STATS_*, is a glob that must match at
-least one knob).  A knob that ships undocumented, or a deleted knob
-that lingers in the docs, fails CI.
+set named in README.md's "Environment variables" section.  A knob
+that ships undocumented, or a deleted knob that lingers in the docs,
+fails CI.
 
 Usage: check_env_usage.py [ROOT]
 
@@ -24,7 +23,6 @@ secure_getenv, or when the knob sets disagree.  Exit codes: 0 clean,
 1 violations found.
 """
 
-import fnmatch
 import os
 import re
 import sys
@@ -35,7 +33,7 @@ KNOB_DIRS = ("src", "bench")
 EXTENSIONS = (".cpp", ".hpp", ".h", ".cc")
 PATTERN = re.compile(r"\b(?:secure_)?getenv\b")
 KNOB_LITERAL = re.compile(r'"(MRQ_[A-Z0-9_]+)"')
-README_KNOB = re.compile(r"MRQ_[A-Z0-9_]+\*?")
+README_KNOB = re.compile(r"MRQ_[A-Z0-9_]+")
 README_SECTION = "### Environment variables"
 
 
@@ -80,7 +78,7 @@ def code_knobs(root):
 
 
 def readme_knobs(root):
-    """MRQ_* names (and globs) in README.md's env-var section."""
+    """MRQ_* names in README.md's env-var section."""
     names = set()
     inside = False
     with open(os.path.join(root, "README.md"), "r",
@@ -95,20 +93,10 @@ def readme_knobs(root):
 
 def knob_mismatches(code, readme):
     """Human-readable disagreements between the two knob sets."""
-    globs = {n for n in readme if n.endswith("*")}
-    plain = readme - globs
-    out = []
-    for name in sorted(code - plain):
-        if not any(fnmatch.fnmatchcase(name, g) for g in globs):
-            out.append("%s is read by the code but not documented in "
-                       "README.md" % name)
-    for name in sorted(plain - code):
-        out.append("%s is documented in README.md but read nowhere" %
-                   name)
-    for glob in sorted(globs):
-        if not fnmatch.filter(code, glob):
-            out.append("%s in README.md matches no knob" % glob)
-    return out
+    return (["%s is read by the code but not documented in README.md" %
+             name for name in sorted(code - readme)] +
+            ["%s is documented in README.md but read nowhere" % name
+             for name in sorted(readme - code)])
 
 
 def main(argv):

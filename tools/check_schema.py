@@ -14,8 +14,6 @@ Usage: check_schema.py KIND [FLAG...] FILE...
                                                         --require-kernel
                                                         --require-span
   trace       MRQ_TRACE_OUT Chrome trace JSON           --require-counter
-  stats       stats socket "json" reply (v1, v2)
-  prom        stats socket "metrics" reply (Prometheus text 0.0.4)
 
 Each record type's fields are declared once, in the tables below, as
 a map from field to a type-and-range check.  The framing rules are
@@ -137,14 +135,12 @@ def fields(table, exact=False):
     return check
 
 
-def each(sub, exactly=None, nonempty=False):
+def each(sub, nonempty=False):
     """A list whose items pass @sub."""
     def check(v, where):
-        if not isinstance(v, list) or (nonempty and not v) or (
-                exactly is not None and len(v) != exactly):
-            _fail(where, "expected a %slist%s, got %r" %
-                  ("non-empty " if nonempty else "",
-                   "" if exactly is None else " of %d" % exactly, v))
+        if not isinstance(v, list) or (nonempty and not v):
+            _fail(where, "expected a %slist, got %r" %
+                  ("non-empty " if nonempty else "", v))
         for i, item in enumerate(v):
             sub(item, "%s[%d]" % (where, i))
     return check
@@ -262,7 +258,6 @@ POSTMORTEM_HEADER = all_of(
         signal=fields({"signal": STR, "signo": INT, "fault_addr": HEX}))))
 POSTMORTEM = {
     "manifest": fields({"run": STR}),
-    "stats": fields({"sample": INT}),
     "heap": fields({k: INT for k in HEAP_COUNTERS}),
     "frame": fields({"index": INT, "pc": HEX, "symbol": STR,
                      "object": STR}),
@@ -322,39 +317,6 @@ TRACE = fields({
                          args=fields({"detail": STR}))),
     }), nonempty=True),
 })
-
-_STATS = {
-    "isa": STR, "samples": INT, "thread_names": each(NAME),
-    "alerts": INT, "trace_dropped": INT, "peak_flops_per_cycle": NUM,
-    "proc": fields({"rss_kb": INT, "peak_rss_kb": INT, "threads": INT,
-                    "cpu_seconds": NUM}),
-    "counters": NUM_MAP, "gauges": NUM_MAP,
-    "timings": values_of(fields({"count": INT, "total_ns": INT})),
-    "perf": values_of(fields({k: INT for k in (
-        "scopes", "cycles", "instructions", "cache_misses",
-        "branch_misses")})),
-    "kernels": each(fields(dict(
-        {k: NUM for k in ("flops_per_elem", "bytes_per_elem",
-                          "arith_intensity", "achieved_gflops")},
-        name=NAME, elems=INT, time_ns=INT))),
-    "thread_time": values_of(fields({k: COUNT for k in (
-        "busy_ns", "queue_wait_ns", "idle_ns")})),
-    "sampler": fields({"running": BOOL, "samples": INT, "dropped": INT}),
-}
-STATS_HEAP = fields(dict(
-    {k: COUNT for k in HEAP_COUNTERS},
-    interposed=BOOL, running=BOOL, sampled_bytes=COUNT,
-    size_class=each(COUNT, exactly=32),
-    threads=values_of(fields({"alloc_bytes": INT, "alloc_count": INT}))))
-STATS = tagged("version", {1: fields(dict(_STATS, heap=ABSENT)),
-                           2: fields(dict(_STATS, heap=STATS_HEAP))})
-
-PROM_NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
-PROM_TYPE = re.compile(r"# TYPE (%s) (counter|gauge|histogram|summary|"
-                       r"untyped)" % PROM_NAME)
-PROM_SAMPLE = re.compile(r"(%s)(\{[^{}]*\})? ([^ ]+)" % PROM_NAME)
-PROM_LABEL = re.compile(r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"')
-
 
 # ------------------------------------------------------------------
 # Framing, and the checks a table cannot express.
@@ -547,38 +509,6 @@ def _load_trace(path):
     return doc
 
 
-def _load_prom(path):
-    typed = set()
-    samples = []
-    for lineno, line in enumerate(_read(path).splitlines(), 1):
-        where = "%s:%d" % (path, lineno)
-        if line.startswith("# TYPE "):
-            m = PROM_TYPE.fullmatch(line)
-            if not m:
-                _fail(where, "malformed TYPE line: %s" % line)
-            typed.add(m.group(1))
-            continue
-        if not line or line.startswith("#"):
-            continue
-        m = PROM_SAMPLE.fullmatch(line)
-        if not m:
-            _fail(where, "unparseable sample: %s" % line)
-        name, labels, value = m.groups()
-        family = re.sub(r"_(bucket|sum|count)$", "", name)
-        if name not in typed and family not in typed:
-            _fail(where, "sample %r has no # TYPE line" % name)
-        for pair in labels[1:-1].split(",") if labels else ():
-            if not PROM_LABEL.fullmatch(pair):
-                _fail(where, "malformed label %r" % pair)
-        try:
-            samples.append((name, labels or "", float(value)))
-        except ValueError:
-            _fail(where, "non-numeric value: %s" % line)
-    if not samples:
-        _fail(path, "no samples")
-    return samples
-
-
 # ------------------------------------------------------------------
 # Kinds: the loader and the flags of each.
 # ------------------------------------------------------------------
@@ -618,17 +548,14 @@ KINDS = {
                               lambda d, _: any(e["ph"] == "C" for e in
                                                d["traceEvents"])),
     }),
-    "stats": Kind(lambda p: _json(p, STATS), {}),
-    "prom": Kind(_load_prom, {}),
 }
 
 
 def load(kind, path):
     """Parse and validate one @kind artifact; raise SchemaError with a
     one-line diagnostic on missing, truncated or malformed input.
-    Returns the JSON document (bench, trace, stats), the record list
-    (metrics, inspect), a Framed (postmortem, profile), or
-    (name, labels, value) samples (prom)."""
+    Returns the JSON document (bench, trace), the record list
+    (metrics, inspect) or a Framed (postmortem, profile)."""
     return KINDS[kind].load(path)
 
 

@@ -4,9 +4,9 @@
 Usage: mrq_postmortem.py FILE [--tail N]
 
 Sections: crash summary (reason/signal/thread/peak RSS), run
-manifest, last stats digest, symbolized backtrace, and the last N
-flight-recorder events per thread with times relative to the newest
-event (the crash instant, near enough).
+manifest, symbolized backtrace, and the last N flight-recorder
+events per thread with times relative to the newest event (the
+crash instant, near enough).
 
 The dump is produced by src/obs/crash_handler.cpp; validate it with
 check_schema.py postmortem if in doubt.  This report keeps its own
@@ -26,7 +26,6 @@ import sys
 def load(path):
     header = None
     manifest = None
-    stats = None
     frames = []
     flights = []
     end = None
@@ -44,15 +43,13 @@ def load(path):
                 header = obj
             elif t == "manifest":
                 manifest = obj
-            elif t == "stats":
-                stats = obj
             elif t == "frame":
                 frames.append(obj)
             elif t == "flight":
                 flights.append(obj)
             elif t == "postmortem_end":
                 end = obj
-    return header, manifest, stats, frames, flights, end
+    return header, manifest, frames, flights, end
 
 
 def demangler():
@@ -89,7 +86,7 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
     path = paths[0]
-    header, manifest, stats, frames, flights, end = load(path)
+    header, manifest, frames, flights, end = load(path)
     if header is None:
         print(f"{path}: no postmortem header found", file=sys.stderr)
         return 1
@@ -116,12 +113,6 @@ def main(argv):
     if manifest is not None:
         print("\n---- run manifest ----")
         for k, v in manifest.items():
-            if k != "type":
-                print(f"  {k}: {v}")
-
-    if stats is not None:
-        print("\n---- last stats sample ----")
-        for k, v in stats.items():
             if k != "type":
                 print(f"  {k}: {v}")
 
