@@ -66,9 +66,7 @@ figure19Ladder()
 {
     // (8,2) (10,2) (12,2) (14,2) (14,3) (16,3) (18,3) (20,3):
     // alpha rises 8..20, beta switches from 2 to 3 midway.
-    SubModelLadder ladder = makeTqLadder(8, 20, 2, 3, 2, 5, 16);
-    // makeTqLadder yields alpha 6..20; rebuild the paper's exact set.
-    ladder.clear();
+    SubModelLadder ladder;
     const std::size_t alphas[8] = {8, 10, 12, 14, 14, 16, 18, 20};
     const std::size_t betas[8] = {2, 2, 2, 2, 3, 3, 3, 3};
     for (int i = 0; i < 8; ++i) {

@@ -200,83 +200,145 @@ checkLadderMonotonicity(MultiResTrainer& trainer, const char* run,
                                              higher_is_better);
 }
 
-} // namespace
-
-// ---------------------------------------------------------------------
-// Classification.
-// ---------------------------------------------------------------------
-
-double
-evalClassifier(MultiResTrainer& trainer, const SynthImages& data,
-               const SubModelConfig& cfg, std::size_t eval_batch,
-               std::size_t calibration_batches)
+/** Rows [base, base + len) of @p t along dim 0, as a new tensor. */
+Tensor
+rowSlice(const Tensor& t, std::size_t base, std::size_t len)
 {
-    const Tensor& images = data.testImages();
-    const std::vector<int>& labels = data.testLabels();
-    const std::size_t n = images.dim(0);
-    const std::size_t plane = 3 * data.imageSize() * data.imageSize();
-
-    // Re-estimate batch-norm statistics under this configuration.
-    const std::size_t train_n = data.trainImages().dim(0);
-    const std::size_t calib_batch = 50;
-    for (std::size_t b = 0; b < calibration_batches; ++b) {
-        const std::size_t base = (b * calib_batch) % train_n;
-        const std::size_t len = std::min(calib_batch, train_n - base);
-        if (len < 2)
-            continue;
-        Tensor batch({len, 3, data.imageSize(), data.imageSize()});
-        std::copy(data.trainImages().data() + base * plane,
-                  data.trainImages().data() + (base + len) * plane,
-                  batch.data());
-        trainer.calibrate(batch, cfg);
-    }
-
-    std::size_t hits = 0;
-    for (std::size_t base = 0; base < n; base += eval_batch) {
-        const std::size_t len = std::min(eval_batch, n - base);
-        Tensor batch({len, 3, data.imageSize(), data.imageSize()});
-        std::copy(images.data() + base * plane,
-                  images.data() + (base + len) * plane, batch.data());
-        Tensor logits = trainer.inferAt(batch, cfg);
-        for (std::size_t i = 0; i < len; ++i) {
-            std::size_t best = 0;
-            for (std::size_t j = 1; j < logits.dim(1); ++j)
-                if (logits(i, j) > logits(i, best))
-                    best = j;
-            hits += best == static_cast<std::size_t>(labels[base + i]);
-        }
-    }
-    return static_cast<double>(hits) / static_cast<double>(n);
+    const std::size_t row = t.size() / t.dim(0);
+    std::vector<std::size_t> shape = t.shape();
+    shape[0] = len;
+    Tensor out(std::move(shape));
+    std::copy(t.data() + base * row, t.data() + (base + len) * row,
+              out.data());
+    return out;
 }
 
-namespace {
+/**
+ * Re-estimate batch-norm running statistics for @p cfg from
+ * @p batches consecutive, wrapping training batches of @p batch_size
+ * images (switchable-precision networks need per-configuration
+ * statistics; EXPERIMENTS.md Known deviation 4).
+ */
+void
+recalibrateBatchNorm(MultiResTrainer& trainer, const Tensor& train_images,
+                     const SubModelConfig& cfg, std::size_t batches,
+                     std::size_t batch_size)
+{
+    const std::size_t train_n = train_images.dim(0);
+    for (std::size_t b = 0; b < batches; ++b) {
+        const std::size_t base = (b * batch_size) % train_n;
+        const std::size_t len = std::min(batch_size, train_n - base);
+        if (len < 2)
+            continue;
+        trainer.calibrate(rowSlice(train_images, base, len), cfg);
+    }
+}
 
-/** Shared classification driver covering all three pipeline modes. */
+/** Eval-mode outputs for every row of @p inputs at @p cfg, run in
+ *  batches of @p batch rows and stacked along dim 0. */
+Tensor
+inferRows(MultiResTrainer& trainer, const Tensor& inputs,
+          const SubModelConfig& cfg, std::size_t batch)
+{
+    const std::size_t n = inputs.dim(0);
+    Tensor all;
+    for (std::size_t base = 0; base < n; base += batch) {
+        const Tensor out = trainer.inferAt(
+            rowSlice(inputs, base, std::min(batch, n - base)), cfg);
+        if (all.empty()) {
+            std::vector<std::size_t> shape = out.shape();
+            shape[0] = n;
+            all = Tensor(std::move(shape));
+        }
+        std::copy(out.data(), out.data() + out.size(),
+                  all.data() + base * (out.size() / out.dim(0)));
+    }
+    return all;
+}
+
+/** Test-set top-1 accuracy at one configuration. */
+double
+evalClassifier(MultiResTrainer& trainer, const SynthImages& data,
+               const SubModelConfig& cfg)
+{
+    recalibrateBatchNorm(trainer, data.trainImages(), cfg, 15, 50);
+    return top1Accuracy(inferRows(trainer, data.testImages(), cfg, 100),
+                        data.testLabels());
+}
+
+/** Test-set mAP@0.5 at one configuration. */
+double
+evalYolo(MultiResTrainer& trainer, const SynthDetect& data,
+         const SubModelConfig& cfg)
+{
+    recalibrateBatchNorm(trainer, data.trainImages(), cfg, 10, 32);
+    return meanAveragePrecision(
+        decodeYolo(inferRows(trainer, data.testImages(), cfg, 50)),
+        data.testBoxes(), SynthDetect::kNumClasses);
+}
+
+/** KL distillation on temperature-softened logits. */
+SoftLossFn
+logitDistillation(float temperature)
+{
+    return [temperature](const Tensor& s, const Tensor& t, Tensor* ds) {
+        return distillationLoss(s, t, temperature, ds);
+    };
+}
+
+/**
+ * What a task family contributes to the shared recipe (runPipeline):
+ * its batches, losses, evaluator and probes.  The phases, their
+ * telemetry and the eval-boundary checks are common to all three.
+ */
+struct TaskFamily
+{
+    const char* name = "";      ///< Run-name prefix.
+    std::size_t batches = 0;    ///< Training batches per epoch.
+    /** Training input of batch @p b of the epoch; also binds the
+     *  targets @ref hard reads. */
+    std::function<Tensor(std::size_t b)> next;
+    HardLossFn hard;
+    SoftLossFn soft;
+    float gradClip = TrainerOptions{}.gradClip;
+    /** Metric of one configuration (higherIsBetter orders rungs). */
+    std::function<double(MultiResTrainer&, const SubModelConfig&)> eval;
+    bool higherIsBetter = true;
+    /** MAC-count input; its dim 0 is the per-sample divisor. */
+    Tensor macProbe;
+    /** Inputs whose leading rows (up to 64) every rung runs for the
+     *  inter-rung agreement probe; null: the family has none. */
+    const Tensor* agreementInputs = nullptr;
+};
+
+/** Phase 2 of the recipe. */
+enum class Tune
+{
+    MultiRes, ///< Algorithm 1 over the ladder.
+    Single,   ///< Plain fine-tuning at the one-rung ladder.
+    None,     ///< No fine-tuning: post-training quantization.
+};
+
+/**
+ * The paper's recipe for any task family: full-precision pretraining,
+ * weight-clip calibration, fine-tuning per @p tune, then an evaluation
+ * of every ladder rung.
+ */
 PipelineResult
-classifierPipeline(Sequential& model, const SynthImages& data,
-                   const SubModelLadder& ladder,
-                   const PipelineOptions& opts, bool multires,
-                   const SubModelConfig* single_cfg)
+runPipeline(Module& model, const SubModelLadder& ladder,
+            const PipelineOptions& opts, Tune tune, const TaskFamily& fam)
 {
     PipelineResult result;
-    const char* run = multires ? "classifier.multires"
-                      : single_cfg != nullptr ? "classifier.single"
-                                              : "classifier.post_training";
-    obs::RunScope obs_run(pipelineManifest(run, opts, ladder),
+    const std::string run =
+        std::string(fam.name) + (tune == Tune::MultiRes ? ".multires"
+                                 : tune == Tune::Single ? ".single"
+                                                        : ".post_training");
+    obs::RunScope obs_run(pipelineManifest(run.c_str(), opts, ladder),
                           opts.verbose);
-    MultiResTrainer trainer(model, ladder, trainerOptions(opts, opts.fpLr));
-    Batcher batcher(data.trainImages().dim(0), opts.batchSize, opts.seed);
-    const std::size_t batches = batcher.batchesPerEpoch();
-
-    auto make_hard = [&](const std::vector<int>& labels) -> HardLossFn {
-        return [&labels](const Tensor& out, Tensor* dout) {
-            return softmaxCrossEntropy(out, labels, dout);
-        };
-    };
-    SoftLossFn soft = [&opts](const Tensor& s, const Tensor& t,
-                              Tensor* ds) {
-        return distillationLoss(s, t, opts.distillTemperature, ds);
-    };
+    TrainerOptions trainer_opts = trainerOptions(opts, opts.fpLr);
+    trainer_opts.gradClip = fam.gradClip;
+    MultiResTrainer trainer(model, ladder, trainer_opts);
+    const std::size_t batches = fam.batches;
 
     // Phase 1: full-precision pretraining.
     for (std::size_t epoch = 0; epoch < opts.fpEpochs; ++epoch) {
@@ -290,10 +352,8 @@ classifierPipeline(Sequential& model, const SynthImages& data,
                      static_cast<int>(opts.fpEpochs)));
         double loss = 0.0;
         for (std::size_t b = 0; b < batches; ++b) {
-            const auto idx = batcher.next();
-            const Tensor input = data.gatherImages(idx);
-            const std::vector<int> labels = data.gatherLabels(idx);
-            loss += trainer.trainIterationSingle(input, make_hard(labels),
+            const Tensor input = fam.next(b);
+            loss += trainer.trainIterationSingle(input, fam.hard,
                                                  fpConfig());
         }
         result.fpEpochSeconds += seconds(t0, Clock::now());
@@ -303,15 +363,14 @@ classifierPipeline(Sequential& model, const SynthImages& data,
     if (opts.fpEpochs > 0)
         result.fpEpochSeconds /= static_cast<double>(opts.fpEpochs);
     model.calibrateWeightClips();
-    result.fp32Metric = evalClassifier(trainer, data, fpConfig());
+    result.fp32Metric = fam.eval(trainer, fpConfig());
     if (obs::metricsEnabled())
         obs::MetricsRegistry::instance().setGauge("train.eval.fp32.metric",
                                                   result.fp32Metric);
     obs::logf("phase=eval rung=fp32 metric=%.4f", result.fp32Metric);
 
     // Phase 2: fine-tuning (multi-resolution, single config, or none).
-    const bool post_training = !multires && single_cfg == nullptr;
-    if (!post_training) {
+    if (tune != Tune::None) {
         for (std::size_t epoch = 0; epoch < opts.mrEpochs; ++epoch) {
             obs::faultInjectionPoint("epoch",
                                      static_cast<std::int64_t>(epoch));
@@ -326,25 +385,22 @@ classifierPipeline(Sequential& model, const SynthImages& data,
             std::vector<double> rung_loss(ladder.size(), 0.0);
             std::vector<std::size_t> rung_count(ladder.size(), 0);
             for (std::size_t b = 0; b < batches; ++b) {
-                const auto idx = batcher.next();
-                const Tensor input = data.gatherImages(idx);
-                const std::vector<int> labels = data.gatherLabels(idx);
-                if (multires) {
+                const Tensor input = fam.next(b);
+                if (tune == Tune::MultiRes) {
                     const MultiResTrainer::IterStats st =
-                        trainer.trainIteration(input, make_hard(labels),
-                                               soft);
+                        trainer.trainIteration(input, fam.hard, fam.soft);
                     loss += st.studentLoss;
                     teacher_loss += st.teacherLoss;
                     rung_loss[st.studentIndex] += st.studentLoss;
                     rung_count[st.studentIndex] += 1;
                 } else {
-                    loss += trainer.trainIterationSingle(
-                        input, make_hard(labels), *single_cfg);
+                    loss += trainer.trainIterationSingle(input, fam.hard,
+                                                         ladder.front());
                 }
             }
             result.mrEpochSeconds += seconds(t0, Clock::now());
             recordEpoch("train.tune.loss", epoch, loss / batches);
-            if (multires) {
+            if (tune == Tune::MultiRes) {
                 recordEpoch("train.tune.teacher_loss", epoch,
                             teacher_loss / batches);
                 for (std::size_t r = 0; r < ladder.size(); ++r)
@@ -366,49 +422,40 @@ classifierPipeline(Sequential& model, const SynthImages& data,
     }
 
     // Per-sample MAC count for term-pair accounting.
-    Tensor probe({1, 3, data.imageSize(), data.imageSize()});
-    std::copy(data.testImages().data(),
-              data.testImages().data() + probe.size(), probe.data());
     model.setTraining(false);
-    const std::size_t macs = countModelMacs(model, probe);
+    const std::size_t macs = countModelMacs(model, fam.macProbe);
     model.setTraining(true);
     model.setQuantContext(&trainer.context());
 
-    // Evaluation across the ladder (or the single config).
+    // Evaluation across the ladder.
     std::int64_t eval_hits0 = 0;
     std::int64_t eval_misses0 = 0;
     projCacheCounts(&eval_hits0, &eval_misses0);
     {
         MRQ_TRACE_SPAN("pipeline.eval");
         obs::InspectEvalScope inspect_eval;
-        const SubModelLadder eval_set =
-            single_cfg != nullptr ? SubModelLadder{*single_cfg} : ladder;
 
         // Inter-rung agreement probe: the same leading slice of the
-        // test set is run through every rung, and each pair of rungs
-        // is scored on logit KL + top-1 match.  The probe logits are
-        // captured inside the per-rung loop, right after that rung's
-        // evaluation, so batch-norm statistics are the ones its eval
-        // used.
+        // family's inputs is run through every rung, and each pair of
+        // rungs is scored on logit KL + top-1 match.  The probe logits
+        // are captured inside the per-rung loop, right after that
+        // rung's evaluation, so batch-norm statistics are the ones its
+        // eval used.
         Tensor probe_batch;
         std::vector<Tensor> probe_logits;
-        if (obs::inspectSampling() && eval_set.size() > 1) {
-            const std::size_t pn = std::min<std::size_t>(
-                64, data.testImages().dim(0));
-            probe_batch =
-                Tensor({pn, 3, data.imageSize(), data.imageSize()});
-            std::copy(data.testImages().data(),
-                      data.testImages().data() + probe_batch.size(),
-                      probe_batch.data());
-        }
+        if (fam.agreementInputs != nullptr && obs::inspectSampling() &&
+            ladder.size() > 1)
+            probe_batch = rowSlice(
+                *fam.agreementInputs, 0,
+                std::min<std::size_t>(64, fam.agreementInputs->dim(0)));
 
-        for (std::size_t i = 0; i < eval_set.size(); ++i) {
+        for (std::size_t i = 0; i < ladder.size(); ++i) {
             obs::faultInjectionPoint("rung",
                                      static_cast<std::int64_t>(i));
-            const SubModelConfig& cfg = eval_set[i];
+            const SubModelConfig& cfg = ladder[i];
             SubModelResult r;
             r.config = cfg;
-            r.metric = evalClassifier(trainer, data, cfg);
+            r.metric = fam.eval(trainer, cfg);
             if (!probe_batch.empty())
                 probe_logits.push_back(
                     trainer.inferAt(probe_batch, cfg));
@@ -430,72 +477,57 @@ classifierPipeline(Sequential& model, const SynthImages& data,
                     logitAgreement(probe_logits[i], probe_logits[j],
                                    &kl, &top1);
                     inspector.recordRungAgreement(
-                        run, eval_set[i].name(), eval_set[j].name(),
-                        kl, top1,
+                        run, ladder[i].name(), ladder[j].name(), kl,
+                        top1,
                         static_cast<std::int64_t>(
                             probe_logits[i].dim(0)));
                 }
         }
     }
-    evalCacheHealth(trainer, run, eval_hits0, eval_misses0);
-    checkLadderMonotonicity(trainer, run, result.subModels, true);
+    evalCacheHealth(trainer, run.c_str(), eval_hits0, eval_misses0);
+    checkLadderMonotonicity(trainer, run.c_str(), result.subModels,
+                            fam.higherIsBetter);
     obs::QuantInspector::instance().feedWatchdog(trainer.watchdog(), -1);
     return result;
 }
 
-} // namespace
-
-PipelineResult
-runClassifierMultiRes(Sequential& model, const SynthImages& data,
-                      const SubModelLadder& ladder,
-                      const PipelineOptions& opts)
-{
-    return classifierPipeline(model, data, ladder, opts, true, nullptr);
-}
-
-PipelineResult
-runClassifierSingle(Sequential& model, const SynthImages& data,
-                    const SubModelConfig& cfg, const PipelineOptions& opts)
-{
-    // Ladder only feeds the trainer's teacher bookkeeping; a single
-    // entry keeps the draw degenerate.
-    return classifierPipeline(model, data, {cfg}, opts, false, &cfg);
-}
-
-PipelineResult
-runClassifierPostTraining(Sequential& model, const SynthImages& data,
-                          const SubModelLadder& ladder,
-                          const PipelineOptions& opts)
-{
-    return classifierPipeline(model, data, ladder, opts, false, nullptr);
-}
-
 // ---------------------------------------------------------------------
-// Language modeling.
+// Task families: each builds its record and runs the shared recipe.
 // ---------------------------------------------------------------------
 
-double
-evalLm(MultiResTrainer& trainer, LstmLm& model, const SynthText& data,
-       const SubModelConfig& cfg, std::size_t bptt)
+PipelineResult
+classifierPipeline(Sequential& model, const SynthImages& data,
+                   const SubModelLadder& ladder,
+                   const PipelineOptions& opts, Tune tune)
 {
-    trainer.context().config = cfg;
-    return lmPerplexity(model, data.valid(), bptt);
+    Batcher batcher(data.trainImages().dim(0), opts.batchSize, opts.seed);
+    std::vector<int> labels;
+    TaskFamily fam;
+    fam.name = "classifier";
+    fam.batches = batcher.batchesPerEpoch();
+    fam.next = [&](std::size_t) {
+        const auto idx = batcher.next();
+        Tensor input = data.gatherImages(idx);
+        labels = data.gatherLabels(idx);
+        return input;
+    };
+    fam.hard = [&labels](const Tensor& out, Tensor* dout) {
+        return softmaxCrossEntropy(out, labels, dout);
+    };
+    fam.soft = logitDistillation(opts.distillTemperature);
+    fam.eval = [&data](MultiResTrainer& trainer, const SubModelConfig& cfg) {
+        return evalClassifier(trainer, data, cfg);
+    };
+    fam.macProbe = rowSlice(data.testImages(), 0, 1);
+    fam.agreementInputs = &data.testImages();
+    return runPipeline(model, ladder, opts, tune, fam);
 }
-
-namespace {
 
 PipelineResult
 lmPipeline(LstmLm& model, const SynthText& data,
            const SubModelLadder& ladder, const PipelineOptions& opts,
-           const SubModelConfig* single_cfg)
+           Tune tune)
 {
-    PipelineResult result;
-    const char* run = single_cfg != nullptr ? "lm.single" : "lm.multires";
-    obs::RunScope obs_run(pipelineManifest(run, opts, ladder),
-                          opts.verbose);
-    MultiResTrainer trainer(model, ladder, trainerOptions(opts, opts.fpLr));
-    trainer.optimizer().setGradClip(1.0f);
-
     const std::vector<int>& stream = data.train();
     const std::size_t batch = opts.batchSize;
     const std::size_t col_len = (stream.size() - 1) / batch;
@@ -503,363 +535,133 @@ lmPipeline(LstmLm& model, const SynthText& data,
         col_len > opts.bptt ? (col_len - 1) / opts.bptt : 0;
     require(windows > 0, "runLmMultiRes: training stream too short");
 
-    std::vector<int> targets(opts.bptt * batch);
-    auto make_batch = [&](std::size_t w, Tensor* input) {
+    std::vector<int> targets;
+    TaskFamily fam;
+    fam.name = "lm";
+    fam.batches = windows;
+    fam.next = [&](std::size_t w) {
         const std::size_t start = w * opts.bptt;
         const std::size_t t_len =
             std::min(opts.bptt, col_len - 1 - start);
-        *input = Tensor({t_len, batch});
+        Tensor input({t_len, batch});
         targets.resize(t_len * batch);
         for (std::size_t t = 0; t < t_len; ++t)
             for (std::size_t b = 0; b < batch; ++b) {
                 const std::size_t pos = b * col_len + start + t;
-                (*input)(t, b) = static_cast<float>(stream[pos]);
+                input(t, b) = static_cast<float>(stream[pos]);
                 targets[t * batch + b] = stream[pos + 1];
             }
+        return input;
     };
-    HardLossFn hard = [&targets](const Tensor& out, Tensor* dout) {
+    fam.hard = [&targets](const Tensor& out, Tensor* dout) {
         return softmaxCrossEntropy(out, targets, dout);
     };
-    SoftLossFn soft = [&opts](const Tensor& s, const Tensor& t,
-                              Tensor* ds) {
-        return distillationLoss(s, t, opts.distillTemperature, ds);
+    fam.soft = logitDistillation(opts.distillTemperature);
+    fam.gradClip = 1.0f;
+    fam.eval = [&](MultiResTrainer& trainer, const SubModelConfig& cfg) {
+        trainer.context().config = cfg;
+        return lmPerplexity(model, data.valid(), opts.bptt);
     };
-
-    // Phase 1: full-precision pretraining.
-    for (std::size_t epoch = 0; epoch < opts.fpEpochs; ++epoch) {
-        obs::faultInjectionPoint("epoch",
-                                 static_cast<std::int64_t>(epoch));
-        MRQ_TRACE_SPAN("pipeline.fp_epoch");
-        obs::PerfScope perf("pipeline.fp_epoch");
-        const auto t0 = Clock::now();
-        trainer.optimizer().setLr(
-            cosineLr(opts.fpLr, static_cast<int>(epoch),
-                     static_cast<int>(opts.fpEpochs)));
-        double loss = 0.0;
-        for (std::size_t w = 0; w < windows; ++w) {
-            Tensor input;
-            make_batch(w, &input);
-            loss += trainer.trainIterationSingle(input, hard, fpConfig());
-        }
-        result.fpEpochSeconds += seconds(t0, Clock::now());
-        recordEpoch("train.fp.loss", epoch, loss / windows);
-        obs::logf("phase=fp epoch=%zu loss=%.4f", epoch, loss / windows);
-    }
-    if (opts.fpEpochs > 0)
-        result.fpEpochSeconds /= static_cast<double>(opts.fpEpochs);
-    model.calibrateWeightClips();
-    result.fp32Metric = evalLm(trainer, model, data, fpConfig(), opts.bptt);
-    if (obs::metricsEnabled())
-        obs::MetricsRegistry::instance().setGauge("train.eval.fp32.metric",
-                                                  result.fp32Metric);
-    obs::logf("phase=eval rung=fp32 metric=%.4f", result.fp32Metric);
-
-    // Phase 2: fine-tuning (multi-resolution or single-config).
-    for (std::size_t epoch = 0; epoch < opts.mrEpochs; ++epoch) {
-        obs::faultInjectionPoint("epoch",
-                                 static_cast<std::int64_t>(epoch));
-        MRQ_TRACE_SPAN("pipeline.tune_epoch");
-            obs::PerfScope perf("pipeline.tune_epoch");
-        const auto t0 = Clock::now();
-        trainer.optimizer().setLr(
-            cosineLr(opts.mrLr, static_cast<int>(epoch),
-                     static_cast<int>(opts.mrEpochs)));
-        double loss = 0.0;
-        std::vector<double> rung_loss(ladder.size(), 0.0);
-        std::vector<std::size_t> rung_count(ladder.size(), 0);
-        for (std::size_t w = 0; w < windows; ++w) {
-            Tensor input;
-            make_batch(w, &input);
-            if (single_cfg) {
-                loss += trainer.trainIterationSingle(input, hard,
-                                                     *single_cfg);
-            } else {
-                const MultiResTrainer::IterStats st =
-                    trainer.trainIteration(input, hard, soft);
-                loss += st.studentLoss;
-                rung_loss[st.studentIndex] += st.studentLoss;
-                rung_count[st.studentIndex] += 1;
-            }
-        }
-        result.mrEpochSeconds += seconds(t0, Clock::now());
-        recordEpoch("train.tune.loss", epoch, loss / windows);
-        if (single_cfg == nullptr)
-            for (std::size_t r = 0; r < ladder.size(); ++r)
-                if (rung_count[r] > 0)
-                    recordEpoch(
-                        ("train.tune.loss." + ladder[r].name()).c_str(),
-                        epoch,
-                        rung_loss[r] /
-                            static_cast<double>(rung_count[r]));
-        obs::logf("phase=tune epoch=%zu loss=%.4f", epoch,
-                  loss / windows);
-        epochCacheTrack();
-    }
-    if (opts.mrEpochs > 0)
-        result.mrEpochSeconds /= static_cast<double>(opts.mrEpochs);
-
-    // MACs per token.
-    Tensor probe({opts.bptt, 1});
+    fam.higherIsBetter = false; // Perplexity.
+    // MACs per token: the probe is one window of validation tokens.
+    fam.macProbe = Tensor({opts.bptt, 1});
     for (std::size_t t = 0; t < opts.bptt; ++t)
-        probe(t, 0) = static_cast<float>(data.valid()[t]);
-    model.setTraining(false);
-    QuantContext macs_ctx;
-    macs_ctx.collectStats = true;
-    macs_ctx.config.mode = QuantMode::None;
-    model.setQuantContext(&macs_ctx);
-    model.forward(probe);
-    const std::size_t macs_per_token = macs_ctx.macs / opts.bptt;
-    model.setTraining(true);
-    model.setQuantContext(&trainer.context());
+        fam.macProbe(t, 0) = static_cast<float>(data.valid()[t]);
+    return runPipeline(model, ladder, opts, tune, fam);
+}
 
-    std::int64_t eval_hits0 = 0;
-    std::int64_t eval_misses0 = 0;
-    projCacheCounts(&eval_hits0, &eval_misses0);
-    {
-        MRQ_TRACE_SPAN("pipeline.eval");
-        obs::InspectEvalScope inspect_eval;
-        const SubModelLadder eval_set =
-            single_cfg ? SubModelLadder{*single_cfg} : ladder;
-        for (std::size_t i = 0; i < eval_set.size(); ++i) {
-            obs::faultInjectionPoint("rung",
-                                     static_cast<std::int64_t>(i));
-            const SubModelConfig& cfg = eval_set[i];
-            SubModelResult r;
-            r.config = cfg;
-            r.metric = evalLm(trainer, model, data, cfg, opts.bptt);
-            r.termPairs = termPairCount(macs_per_token, cfg);
-            recordSubModelEval(i, r);
-            obs::logf("phase=eval rung=%s metric=%.4f term_pairs=%zu",
-                      cfg.name().c_str(), r.metric, r.termPairs);
-            result.subModels.push_back(std::move(r));
+PipelineResult
+yoloPipeline(TinyYolo& model, const SynthDetect& data,
+             const SubModelLadder& ladder, const PipelineOptions& opts,
+             Tune tune)
+{
+    Batcher batcher(data.trainImages().dim(0), opts.batchSize, opts.seed);
+    const std::size_t plane = 3 * data.imageSize() * data.imageSize();
+    std::vector<std::vector<DetBox>> batch_truth;
+    TaskFamily fam;
+    fam.name = "yolo";
+    fam.batches = batcher.batchesPerEpoch();
+    fam.next = [&](std::size_t) {
+        const auto idx = batcher.next();
+        Tensor input({idx.size(), 3, data.imageSize(), data.imageSize()});
+        batch_truth.clear();
+        for (std::size_t i = 0; i < idx.size(); ++i) {
+            std::copy(data.trainImages().data() + idx[i] * plane,
+                      data.trainImages().data() + (idx[i] + 1) * plane,
+                      input.data() + i * plane);
+            batch_truth.push_back(data.trainBoxes()[idx[i]]);
         }
-    }
-    evalCacheHealth(trainer, run, eval_hits0, eval_misses0);
-    // Perplexity: lower is better.
-    checkLadderMonotonicity(trainer, run, result.subModels, false);
-    obs::QuantInspector::instance().feedWatchdog(trainer.watchdog(), -1);
-    return result;
+        return input;
+    };
+    fam.hard = [&batch_truth](const Tensor& out, Tensor* dout) {
+        return yoloLoss(out, batch_truth, dout);
+    };
+    // Detection distillation: match the teacher's raw prediction maps.
+    fam.soft = [](const Tensor& s, const Tensor& t, Tensor* ds) {
+        return mseLoss(s, t, ds);
+    };
+    fam.eval = [&data](MultiResTrainer& trainer, const SubModelConfig& cfg) {
+        return evalYolo(trainer, data, cfg);
+    };
+    fam.macProbe = rowSlice(data.testImages(), 0, 1);
+    return runPipeline(model, ladder, opts, tune, fam);
 }
 
 } // namespace
+
+// Single-config runs pass a one-rung ladder: it feeds the trainer's
+// teacher bookkeeping, keeps the student draw degenerate and is the
+// evaluated set.
+
+PipelineResult
+runClassifierMultiRes(Sequential& model, const SynthImages& data,
+                      const SubModelLadder& ladder,
+                      const PipelineOptions& opts)
+{
+    return classifierPipeline(model, data, ladder, opts, Tune::MultiRes);
+}
+
+PipelineResult
+runClassifierSingle(Sequential& model, const SynthImages& data,
+                    const SubModelConfig& cfg, const PipelineOptions& opts)
+{
+    return classifierPipeline(model, data, {cfg}, opts, Tune::Single);
+}
+
+PipelineResult
+runClassifierPostTraining(Sequential& model, const SynthImages& data,
+                          const SubModelLadder& ladder,
+                          const PipelineOptions& opts)
+{
+    return classifierPipeline(model, data, ladder, opts, Tune::None);
+}
 
 PipelineResult
 runLmMultiRes(LstmLm& model, const SynthText& data,
               const SubModelLadder& ladder, const PipelineOptions& opts)
 {
-    return lmPipeline(model, data, ladder, opts, nullptr);
+    return lmPipeline(model, data, ladder, opts, Tune::MultiRes);
 }
 
 PipelineResult
 runLmSingle(LstmLm& model, const SynthText& data,
             const SubModelConfig& cfg, const PipelineOptions& opts)
 {
-    return lmPipeline(model, data, {cfg}, opts, &cfg);
+    return lmPipeline(model, data, {cfg}, opts, Tune::Single);
 }
-
-// ---------------------------------------------------------------------
-// Detection.
-// ---------------------------------------------------------------------
-
-double
-evalYolo(MultiResTrainer& trainer, const SynthDetect& data,
-         const SubModelConfig& cfg, std::size_t eval_batch)
-{
-    const Tensor& images = data.testImages();
-    const std::size_t n = images.dim(0);
-    const std::size_t plane = 3 * data.imageSize() * data.imageSize();
-
-    // Per-configuration batch-norm recalibration (as in the
-    // classification pipeline).
-    const std::size_t train_n = data.trainImages().dim(0);
-    const std::size_t calib_batch = 32;
-    for (std::size_t b = 0; b < 10; ++b) {
-        const std::size_t base = (b * calib_batch) % train_n;
-        const std::size_t len = std::min(calib_batch, train_n - base);
-        if (len < 2)
-            continue;
-        Tensor batch({len, 3, data.imageSize(), data.imageSize()});
-        std::copy(data.trainImages().data() + base * plane,
-                  data.trainImages().data() + (base + len) * plane,
-                  batch.data());
-        trainer.calibrate(batch, cfg);
-    }
-
-    std::vector<std::vector<DetBox>> predictions;
-    predictions.reserve(n);
-    for (std::size_t base = 0; base < n; base += eval_batch) {
-        const std::size_t len = std::min(eval_batch, n - base);
-        Tensor batch({len, 3, data.imageSize(), data.imageSize()});
-        std::copy(images.data() + base * plane,
-                  images.data() + (base + len) * plane, batch.data());
-        Tensor preds = trainer.inferAt(batch, cfg);
-        auto decoded = decodeYolo(preds);
-        for (auto& boxes : decoded)
-            predictions.push_back(std::move(boxes));
-    }
-    return meanAveragePrecision(predictions, data.testBoxes(),
-                                SynthDetect::kNumClasses);
-}
-
-namespace {
-
-PipelineResult
-yoloPipeline(TinyYolo& model, const SynthDetect& data,
-             const SubModelLadder& ladder, const PipelineOptions& opts,
-             const SubModelConfig* single_cfg)
-{
-    PipelineResult result;
-    const char* run =
-        single_cfg != nullptr ? "yolo.single" : "yolo.multires";
-    obs::RunScope obs_run(pipelineManifest(run, opts, ladder),
-                          opts.verbose);
-    MultiResTrainer trainer(model, ladder, trainerOptions(opts, opts.fpLr));
-    Batcher batcher(data.trainImages().dim(0), opts.batchSize, opts.seed);
-    const std::size_t batches = batcher.batchesPerEpoch();
-    const std::size_t plane = 3 * data.imageSize() * data.imageSize();
-
-    std::vector<std::vector<DetBox>> batch_truth;
-    auto make_batch = [&](Tensor* input) {
-        const auto idx = batcher.next();
-        *input =
-            Tensor({idx.size(), 3, data.imageSize(), data.imageSize()});
-        batch_truth.clear();
-        for (std::size_t i = 0; i < idx.size(); ++i) {
-            std::copy(data.trainImages().data() + idx[i] * plane,
-                      data.trainImages().data() + (idx[i] + 1) * plane,
-                      input->data() + i * plane);
-            batch_truth.push_back(data.trainBoxes()[idx[i]]);
-        }
-    };
-    HardLossFn hard = [&batch_truth](const Tensor& out, Tensor* dout) {
-        return yoloLoss(out, batch_truth, dout);
-    };
-    // Detection distillation: match the teacher's raw prediction maps.
-    SoftLossFn soft = [](const Tensor& s, const Tensor& t, Tensor* ds) {
-        return mseLoss(s, t, ds);
-    };
-
-    for (std::size_t epoch = 0; epoch < opts.fpEpochs; ++epoch) {
-        obs::faultInjectionPoint("epoch",
-                                 static_cast<std::int64_t>(epoch));
-        MRQ_TRACE_SPAN("pipeline.fp_epoch");
-        obs::PerfScope perf("pipeline.fp_epoch");
-        const auto t0 = Clock::now();
-        trainer.optimizer().setLr(
-            cosineLr(opts.fpLr, static_cast<int>(epoch),
-                     static_cast<int>(opts.fpEpochs)));
-        double loss = 0.0;
-        for (std::size_t b = 0; b < batches; ++b) {
-            Tensor input;
-            make_batch(&input);
-            loss += trainer.trainIterationSingle(input, hard, fpConfig());
-        }
-        result.fpEpochSeconds += seconds(t0, Clock::now());
-        recordEpoch("train.fp.loss", epoch, loss / batches);
-        obs::logf("phase=fp epoch=%zu loss=%.4f", epoch, loss / batches);
-    }
-    if (opts.fpEpochs > 0)
-        result.fpEpochSeconds /= static_cast<double>(opts.fpEpochs);
-    model.calibrateWeightClips();
-    result.fp32Metric = evalYolo(trainer, data, fpConfig());
-    if (obs::metricsEnabled())
-        obs::MetricsRegistry::instance().setGauge("train.eval.fp32.metric",
-                                                  result.fp32Metric);
-    obs::logf("phase=eval rung=fp32 metric=%.4f", result.fp32Metric);
-
-    for (std::size_t epoch = 0; epoch < opts.mrEpochs; ++epoch) {
-        obs::faultInjectionPoint("epoch",
-                                 static_cast<std::int64_t>(epoch));
-        MRQ_TRACE_SPAN("pipeline.tune_epoch");
-            obs::PerfScope perf("pipeline.tune_epoch");
-        const auto t0 = Clock::now();
-        trainer.optimizer().setLr(
-            cosineLr(opts.mrLr, static_cast<int>(epoch),
-                     static_cast<int>(opts.mrEpochs)));
-        double loss = 0.0;
-        std::vector<double> rung_loss(ladder.size(), 0.0);
-        std::vector<std::size_t> rung_count(ladder.size(), 0);
-        for (std::size_t b = 0; b < batches; ++b) {
-            Tensor input;
-            make_batch(&input);
-            if (single_cfg) {
-                loss += trainer.trainIterationSingle(input, hard,
-                                                     *single_cfg);
-            } else {
-                const MultiResTrainer::IterStats st =
-                    trainer.trainIteration(input, hard, soft);
-                loss += st.studentLoss;
-                rung_loss[st.studentIndex] += st.studentLoss;
-                rung_count[st.studentIndex] += 1;
-            }
-        }
-        result.mrEpochSeconds += seconds(t0, Clock::now());
-        recordEpoch("train.tune.loss", epoch, loss / batches);
-        if (single_cfg == nullptr)
-            for (std::size_t r = 0; r < ladder.size(); ++r)
-                if (rung_count[r] > 0)
-                    recordEpoch(
-                        ("train.tune.loss." + ladder[r].name()).c_str(),
-                        epoch,
-                        rung_loss[r] /
-                            static_cast<double>(rung_count[r]));
-        obs::logf("phase=tune epoch=%zu loss=%.4f", epoch,
-                  loss / batches);
-        epochCacheTrack();
-    }
-    if (opts.mrEpochs > 0)
-        result.mrEpochSeconds /= static_cast<double>(opts.mrEpochs);
-
-    Tensor probe({1, 3, data.imageSize(), data.imageSize()});
-    std::copy(data.testImages().data(),
-              data.testImages().data() + probe.size(), probe.data());
-    model.setTraining(false);
-    const std::size_t macs = countModelMacs(model, probe);
-    model.setTraining(true);
-    model.setQuantContext(&trainer.context());
-
-    std::int64_t eval_hits0 = 0;
-    std::int64_t eval_misses0 = 0;
-    projCacheCounts(&eval_hits0, &eval_misses0);
-    {
-        MRQ_TRACE_SPAN("pipeline.eval");
-        obs::InspectEvalScope inspect_eval;
-        const SubModelLadder eval_set =
-            single_cfg ? SubModelLadder{*single_cfg} : ladder;
-        for (std::size_t i = 0; i < eval_set.size(); ++i) {
-            obs::faultInjectionPoint("rung",
-                                     static_cast<std::int64_t>(i));
-            const SubModelConfig& cfg = eval_set[i];
-            SubModelResult r;
-            r.config = cfg;
-            r.metric = evalYolo(trainer, data, cfg);
-            r.termPairs = termPairCount(macs, cfg);
-            recordSubModelEval(i, r);
-            obs::logf("phase=eval rung=%s metric=%.4f term_pairs=%zu",
-                      cfg.name().c_str(), r.metric, r.termPairs);
-            result.subModels.push_back(std::move(r));
-        }
-    }
-    evalCacheHealth(trainer, run, eval_hits0, eval_misses0);
-    checkLadderMonotonicity(trainer, run, result.subModels, true);
-    obs::QuantInspector::instance().feedWatchdog(trainer.watchdog(), -1);
-    return result;
-}
-
-} // namespace
 
 PipelineResult
 runYoloMultiRes(TinyYolo& model, const SynthDetect& data,
                 const SubModelLadder& ladder, const PipelineOptions& opts)
 {
-    return yoloPipeline(model, data, ladder, opts, nullptr);
+    return yoloPipeline(model, data, ladder, opts, Tune::MultiRes);
 }
 
 PipelineResult
 runYoloSingle(TinyYolo& model, const SynthDetect& data,
               const SubModelConfig& cfg, const PipelineOptions& opts)
 {
-    return yoloPipeline(model, data, {cfg}, opts, &cfg);
+    return yoloPipeline(model, data, {cfg}, opts, Tune::Single);
 }
 
 } // namespace mrq

@@ -10,6 +10,11 @@
  * Algorithm-1 multi-resolution fine-tuning, individually-trained
  * fine-tuning at one configuration, or no fine-tuning at all
  * (post-training quantization, the Sec. 6.3 baseline).
+ *
+ * All seven entry points run one driver (pipelines.cpp); a task
+ * family supplies only its batches, losses, evaluator and probes.
+ * Image evaluation re-estimates batch-norm statistics per
+ * configuration first (EXPERIMENTS.md Known deviation 4).
  */
 
 #ifndef MRQ_TRAIN_PIPELINES_HPP
@@ -71,17 +76,6 @@ struct PipelineResult
 // Classification.
 // ---------------------------------------------------------------------
 
-/**
- * Evaluate test accuracy at one configuration.  Batch-norm running
- * statistics are first re-estimated for @p cfg from
- * @p calibration_batches training batches (switchable-precision
- * networks need per-configuration statistics).
- */
-double evalClassifier(MultiResTrainer& trainer, const SynthImages& data,
-                      const SubModelConfig& cfg,
-                      std::size_t eval_batch = 100,
-                      std::size_t calibration_batches = 15);
-
 /** FP pretrain + Algorithm-1 multi-resolution fine-tune + evaluate. */
 PipelineResult runClassifierMultiRes(Sequential& model,
                                      const SynthImages& data,
@@ -104,11 +98,6 @@ PipelineResult runClassifierPostTraining(Sequential& model,
 // Language modeling.
 // ---------------------------------------------------------------------
 
-/** Validation perplexity at one configuration. */
-double evalLm(MultiResTrainer& trainer, LstmLm& model,
-              const SynthText& data, const SubModelConfig& cfg,
-              std::size_t bptt);
-
 /** FP pretrain + multi-resolution fine-tune + evaluate perplexities. */
 PipelineResult runLmMultiRes(LstmLm& model, const SynthText& data,
                              const SubModelLadder& ladder,
@@ -122,10 +111,6 @@ PipelineResult runLmSingle(LstmLm& model, const SynthText& data,
 // ---------------------------------------------------------------------
 // Detection.
 // ---------------------------------------------------------------------
-
-/** Test-set mAP@0.5 at one configuration. */
-double evalYolo(MultiResTrainer& trainer, const SynthDetect& data,
-                const SubModelConfig& cfg, std::size_t eval_batch = 50);
 
 /** FP pretrain + multi-resolution fine-tune + evaluate mAP. */
 PipelineResult runYoloMultiRes(TinyYolo& model, const SynthDetect& data,

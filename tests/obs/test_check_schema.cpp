@@ -23,6 +23,7 @@
 #include "harness/report.hpp"
 #include "obs/crash_handler.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/heap_profiler.hpp"
 #include "obs/inspect.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
@@ -70,6 +71,19 @@ checkSchema(const std::string& args)
                                 "/tools/check_schema.py " + args +
                                 " > /dev/null 2>&1")
                                    .c_str());
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+/** Exit code of `tools/mrq_postmortem.py DUMP`, its report in
+ *  @p report. */
+int
+renderPostmortem(const fs::path& dump, const fs::path& report)
+{
+    const int rc = std::system(
+        ("python3 " + std::string(MRQ_SOURCE_DIR) +
+         "/tools/mrq_postmortem.py " + dump.string() + " > " +
+         report.string() + " 2>&1")
+            .c_str());
     return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
@@ -429,6 +443,24 @@ TEST(CheckSchema, Usr1PostmortemDump)
           "\"symbol\": \"?\", \"object\": \"?\"}\n"},
          {"the end line is present",
           "\\{\"type\": \"postmortem_end\"[^\n]*\n", ""}});
+
+    // The report renders the heap digest whenever the build interposes
+    // the allocator, and still renders a dump without one (sanitizer
+    // builds, truncation).
+    const fs::path report = tempFile("pm_report.txt");
+    ASSERT_EQ(renderPostmortem(dump, report), 0) << readAll(report);
+    EXPECT_EQ(text.find(R"({"type": "heap")") != std::string::npos,
+              obs::heapInterpositionActive());
+    if (obs::heapInterpositionActive())
+        EXPECT_NE(readAll(report).find("---- heap ----"), std::string::npos)
+            << readAll(report);
+    const fs::path heapless = tempFile("heapless.jsonl");
+    std::ofstream(heapless, std::ios::binary) << std::regex_replace(
+        text, std::regex(R"(\{"type": "heap"[^\n]*\n)"), "");
+    ASSERT_EQ(renderPostmortem(heapless, report), 0) << readAll(report);
+    EXPECT_EQ(readAll(report).find("---- heap ----"), std::string::npos);
+    fs::remove(heapless);
+    fs::remove(report);
     fs::remove(signal);
     fs::remove_all(dir);
 }

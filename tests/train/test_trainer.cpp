@@ -6,11 +6,22 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <set>
+#include <string>
+
 #include "core/multires_trainer.hpp"
+#include "data/synth_detect.hpp"
 #include "data/synth_images.hpp"
+#include "data/synth_text.hpp"
 #include "models/classifiers.hpp"
+#include "models/lstm_lm.hpp"
+#include "models/tiny_yolo.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
+#include "obs/metrics.hpp"
+#include "runtime/thread_pool.hpp"
 #include "train/pipelines.hpp"
 
 namespace mrq {
@@ -224,6 +235,135 @@ TEST(Integration, PostTrainingIsWorseAtAggressiveBudgets)
     // post-training TQ (Sec. 6.3).
     EXPECT_GT(mr.subModels.front().metric,
               pt.subModels.front().metric - 1e-9);
+}
+
+// ---------------------------------------------------------------------
+// One tiny multi-resolution run per task family (well under a second
+// each).  Classifier, LM and detection share one driver, so each must
+// be deterministic at any pool size and record the same series set.
+// ---------------------------------------------------------------------
+
+/** Datasets for the tiny runs, built once per test. */
+struct TinyData
+{
+    SynthImages images{120, 40, 3, 8, 4, 0.3};
+    SynthText text{16, 1200, 300, 5};
+    SynthDetect scenes{40, 10, 3};
+};
+
+const char* const kFamilies[] = {"classifier", "lm", "yolo"};
+
+PipelineOptions
+tinyOptions()
+{
+    PipelineOptions opts;
+    opts.fpEpochs = 1;
+    opts.mrEpochs = 1;
+    opts.batchSize = 20;
+    opts.bptt = 8;
+    opts.seed = 5;
+    return opts;
+}
+
+/** Two rungs, so the one student rung is always drawn; detection
+ *  runs on an 8-bit lattice, as in examples/object_detection. */
+SubModelLadder
+familyRungs(std::size_t f)
+{
+    return f == 2 ? makeTqLadder(2, 38, 10, 5, 4, 8, 16)
+                  : makeTqLadder(2, 20, 8, 3, 2, 5, 16);
+}
+
+/** Tiny multi-resolution run of family @p f (index into kFamilies). */
+PipelineResult
+runFamily(std::size_t f, const TinyData& data)
+{
+    Rng rng(f + 1);
+    if (f == 0) {
+        auto model = buildResNetTiny(rng, data.images.numClasses());
+        return runClassifierMultiRes(*model, data.images, familyRungs(f),
+                                     tinyOptions());
+    }
+    if (f == 1) {
+        LstmLm model(data.text.vocab(), 8, 16, 0.1f, rng);
+        return runLmMultiRes(model, data.text, familyRungs(f),
+                             tinyOptions());
+    }
+    TinyYolo model(rng);
+    return runYoloMultiRes(model, data.scenes, familyRungs(f),
+                           tinyOptions());
+}
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+TEST(Integration, PipelinesAreThreadCountInvariant)
+{
+    const TinyData data;
+    ThreadPool& pool = ThreadPool::instance();
+    const std::size_t saved_threads = pool.threadCount();
+    for (std::size_t f = 0; f < 3; ++f) {
+        pool.resize(1);
+        const PipelineResult a = runFamily(f, data);
+        pool.resize(4);
+        const PipelineResult b = runFamily(f, data);
+        EXPECT_EQ(bits(a.fp32Metric), bits(b.fp32Metric)) << kFamilies[f];
+        ASSERT_EQ(a.subModels.size(), 2u) << kFamilies[f];
+        ASSERT_EQ(b.subModels.size(), 2u) << kFamilies[f];
+        for (std::size_t i = 0; i < a.subModels.size(); ++i) {
+            const SubModelResult& ra = a.subModels[i];
+            const SubModelResult& rb = b.subModels[i];
+            const std::string where =
+                std::string(kFamilies[f]) + " " + ra.config.name();
+            EXPECT_EQ(ra.config.name(), rb.config.name()) << where;
+            EXPECT_EQ(bits(ra.metric), bits(rb.metric)) << where;
+            EXPECT_EQ(ra.termPairs, rb.termPairs) << where;
+            EXPECT_GT(ra.termPairs, 0u) << where;
+        }
+    }
+    pool.resize(saved_threads);
+
+    // The single-config wrappers evaluate exactly their one config.
+    const SubModelConfig lm_cfg = familyRungs(1).front();
+    Rng rng_l(2);
+    LstmLm lm(data.text.vocab(), 8, 16, 0.1f, rng_l);
+    const PipelineResult lm_single =
+        runLmSingle(lm, data.text, lm_cfg, tinyOptions());
+    ASSERT_EQ(lm_single.subModels.size(), 1u);
+    EXPECT_EQ(lm_single.subModels.front().config.name(), lm_cfg.name());
+
+    const SubModelConfig yolo_cfg = familyRungs(2).front();
+    Rng rng_y(3);
+    TinyYolo yolo(rng_y);
+    const PipelineResult yolo_single =
+        runYoloSingle(yolo, data.scenes, yolo_cfg, tinyOptions());
+    ASSERT_EQ(yolo_single.subModels.size(), 1u);
+    EXPECT_EQ(yolo_single.subModels.front().config.name(),
+              yolo_cfg.name());
+}
+
+TEST(Integration, MultiResPipelinesRecordOneSeriesSet)
+{
+    const TinyData data;
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+    const bool prev = obs::setMetricsEnabled(true);
+    for (std::size_t f = 0; f < 3; ++f) {
+        reg.reset();
+        runFamily(f, data);
+        std::set<std::string> recorded;
+        for (const auto& point : reg.snapshot().series)
+            recorded.insert(point.name);
+        const std::set<std::string> expected = {
+            "train.fp.loss", "train.tune.loss", "train.tune.teacher_loss",
+            "train.eval.metric",
+            "train.tune.loss." + familyRungs(f).front().name()};
+        EXPECT_EQ(recorded, expected) << kFamilies[f];
+    }
+    obs::setMetricsEnabled(prev);
+    reg.reset();
 }
 
 } // namespace

@@ -4,9 +4,10 @@
 Usage: mrq_postmortem.py FILE [--tail N]
 
 Sections: crash summary (reason/signal/thread/peak RSS), run
-manifest, symbolized backtrace, and the last N flight-recorder
-events per thread with times relative to the newest event (the
-crash instant, near enough).
+manifest, heap digest (absent when the build does not interpose the
+allocator, e.g. under a sanitizer), symbolized backtrace, and the
+last N flight-recorder events per thread with times relative to the
+newest event (the crash instant, near enough).
 
 The dump is produced by src/obs/crash_handler.cpp; validate it with
 check_schema.py postmortem if in doubt.  This report keeps its own
@@ -22,10 +23,13 @@ import shutil
 import subprocess
 import sys
 
+from check_schema import HEAP_COUNTERS
+
 
 def load(path):
     header = None
     manifest = None
+    heap = None
     frames = []
     flights = []
     end = None
@@ -43,13 +47,15 @@ def load(path):
                 header = obj
             elif t == "manifest":
                 manifest = obj
+            elif t == "heap":
+                heap = obj
             elif t == "frame":
                 frames.append(obj)
             elif t == "flight":
                 flights.append(obj)
             elif t == "postmortem_end":
                 end = obj
-    return header, manifest, frames, flights, end
+    return header, manifest, heap, frames, flights, end
 
 
 def demangler():
@@ -86,7 +92,7 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
     path = paths[0]
-    header, manifest, frames, flights, end = load(path)
+    header, manifest, heap, frames, flights, end = load(path)
     if header is None:
         print(f"{path}: no postmortem header found", file=sys.stderr)
         return 1
@@ -115,6 +121,11 @@ def main(argv):
         for k, v in manifest.items():
             if k != "type":
                 print(f"  {k}: {v}")
+
+    if heap is not None:
+        print("\n---- heap ----")
+        for k in HEAP_COUNTERS:
+            print(f"  {k}: {heap.get(k, '?')}")
 
     if frames:
         print("\n---- backtrace (innermost first) ----")
