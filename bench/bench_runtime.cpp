@@ -150,7 +150,8 @@ MRQ_BENCH(runtime_span_overhead, "Obs layer",
     obs::setTraceExportEnabled(prev_export);
     obs::setTraceEnabled(prev_trace);
     // Drop the millions of identical events this case just buffered so
-    // a real MRQ_TRACE_OUT session is not flooded by them.
+    // a real timeline (MRQ_TRACE=1 with MRQ_RUN_DIR) is not flooded
+    // by them.
     obs::resetTraceBuffers();
 
     const double scale = 1e6 / kSpans; // ms per batch -> ns per span.

@@ -57,7 +57,7 @@ MRQ_BENCH(telemetry_overhead, "Obs layer",
 {
     // -- Disabled instrumentation-site cost ---------------------------
     // The harness runs cases with metrics forced on; flip them off to
-    // measure the exact hot path a plain run (no MRQ_METRICS_OUT)
+    // measure the exact hot path a plain run (no MRQ_RUN_DIR)
     // executes at every site.
     constexpr int kSites = 200000;
     const bool prev_metrics = obs::setMetricsEnabled(false);

@@ -8,11 +8,11 @@
 
 #include "obs/crash_handler.hpp"
 #include "obs/heap_profiler.hpp"
+#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf_counters.hpp"
 #include "obs/proc_stats.hpp"
 #include "obs/sampler.hpp"
-#include "obs/trace_export.hpp"
 #include "runtime/thread_pool.hpp"
 
 #ifndef MRQ_BUILD_TYPE
@@ -24,31 +24,32 @@ namespace bench {
 
 namespace {
 
-/**
- * Per-case sink path: "{run}" (when present) or a suffix before the
- * extension becomes the case slug, so a suite run leaves one file per
- * case instead of the last case overwriting the rest.  Shared by the
- * timeline (MRQ_TRACE_OUT) and sample-profile (MRQ_SAMPLE_OUT) sinks.
- */
-std::string
-casePathFor(std::string path, const std::string& case_name)
+/** Machine-dependent facts about the reps just run, for the
+ *  noise-gated "resources" map (never values/metrics). */
+std::map<std::string, double>
+caseResources(const char* perf_scope)
 {
-    const std::string slug = slugify(case_name);
-    const std::size_t brace = path.find("{run}");
-    if (brace != std::string::npos)
-        return path.replace(brace, 5, slug);
-    const std::size_t dot = path.find_last_of('.');
-    const std::size_t slash = path.find_last_of('/');
-    if (dot != std::string::npos &&
-        (slash == std::string::npos || dot > slash))
-        return path.substr(0, dot) + "." + slug + path.substr(dot);
-    return path + "." + slug;
-}
-
-std::string
-caseTracePath(const std::string& case_name)
-{
-    return casePathFor(obs::traceExportPath(), case_name);
+    std::map<std::string, double> out;
+    const obs::ProcStats proc = obs::readProcStats();
+    if (proc.peakRssKb >= 0)
+        out["peak_rss_kb"] = static_cast<double>(proc.peakRssKb);
+    for (const auto& [scope, totals] : obs::perfTotalsSnapshot()) {
+        if (scope != perf_scope || totals.cycles <= 0)
+            continue;
+        out["cycles"] = static_cast<double>(totals.cycles);
+        out["instructions"] = static_cast<double>(totals.instructions);
+        out["cache_misses"] = static_cast<double>(totals.cacheMisses);
+        out["branch_misses"] = static_cast<double>(totals.branchMisses);
+    }
+    if (obs::samplerRunning())
+        out["samples"] = static_cast<double>(obs::samplerSampleCount());
+    if (obs::heapProfilerRunning()) {
+        const obs::HeapStats heap = obs::heapStatsSnapshot();
+        out["alloc_bytes"] = static_cast<double>(heap.allocBytes);
+        out["alloc_count"] = static_cast<double>(heap.allocCount);
+        out["peak_heap"] = static_cast<double>(heap.peakBytes);
+    }
+    return out;
 }
 
 std::string
@@ -222,13 +223,6 @@ class Runner
             ThreadPool::instance().threadCount();
         const bool prev_metrics = obs::setMetricsEnabled(true);
 
-        // Each case gets a timeline of its own: drop whatever earlier
-        // cases buffered, then flush this case's events to a per-case
-        // file after the measured reps.
-        const bool trace_case = obs::traceExportEnabled();
-        if (trace_case)
-            obs::resetTraceBuffers();
-
         for (int w = 0; w < record.warmup; ++w) {
             table.setEnabled(false);
             record.values.clear();
@@ -243,78 +237,36 @@ class Runner
         obs::resetPerfTotals();
         const char* kPerfScope = "bench.rep";
 
-        // Same per-case scoping for the sampling profiler: stacks
-        // accumulated before the timed reps (warmup, earlier cases)
-        // would pollute this case's attribution.
-        const bool sample_case = obs::samplerRunning();
-        if (sample_case)
-            obs::resetSamplerProfile();
-
-        // And for the heap profiler: drop warmup allocations and
-        // rebase the peak so the per-case resources cover exactly the
-        // timed reps.
-        const bool heap_case = obs::heapProfilerRunning();
-        if (heap_case)
-            obs::resetHeapProfile();
-
         std::vector<double> samples;
         samples.reserve(static_cast<std::size_t>(record.reps));
-        for (int r = 0; r < record.reps; ++r) {
-            obs::faultInjectionPoint("bench_rep", r);
-            table.setEnabled(r == 0);
-            record.values.clear();
-            record.timingValues.clear();
-            obs::MetricsRegistry::instance().reset();
-            obs::PerfScope perf(kPerfScope);
-            samples.push_back(wallTimeMs([&] { def.fn(ctx); }));
-        }
-        record.metrics =
-            flattenSnapshot(obs::MetricsRegistry::instance().snapshot());
+        {
+            // The timed reps are one run named after the case.  Its
+            // scope starts the timeline and both profiles afresh as it
+            // opens, so they and the resources below cover exactly
+            // these reps, and writes the case's sink files as it
+            // closes; a file it cannot write is counted in
+            // obs::sinkFlushFailures and fails the suite.  A pipeline
+            // in the body opens a nested scope, which is pass-through.
+            obs::RunManifest manifest;
+            manifest.run = def.name;
+            manifest.add("suite", opts.suite);
+            manifest.add("tier", opts.quick ? "quick" : "full");
+            const obs::RunScope run(std::move(manifest),
+                                    /*verbose=*/false);
 
-        // Machine-dependent per-case facts go into the noise-gated
-        // "resources" map, never into values/metrics.
-        const obs::ProcStats proc = obs::readProcStats();
-        if (proc.peakRssKb >= 0)
-            record.resources["peak_rss_kb"] =
-                static_cast<double>(proc.peakRssKb);
-        for (const auto& [scope, totals] : obs::perfTotalsSnapshot()) {
-            if (scope != kPerfScope || totals.cycles <= 0)
-                continue;
-            record.resources["cycles"] =
-                static_cast<double>(totals.cycles);
-            record.resources["instructions"] =
-                static_cast<double>(totals.instructions);
-            record.resources["cache_misses"] =
-                static_cast<double>(totals.cacheMisses);
-            record.resources["branch_misses"] =
-                static_cast<double>(totals.branchMisses);
+            for (int r = 0; r < record.reps; ++r) {
+                obs::faultInjectionPoint("bench_rep", r);
+                table.setEnabled(r == 0);
+                record.values.clear();
+                record.timingValues.clear();
+                obs::MetricsRegistry::instance().reset();
+                obs::PerfScope perf(kPerfScope);
+                samples.push_back(wallTimeMs([&] { def.fn(ctx); }));
+            }
+            record.metrics = flattenSnapshot(
+                obs::MetricsRegistry::instance().snapshot());
+            record.resources = caseResources(kPerfScope);
         }
-        // A per-case sink that cannot be written is reported and
-        // counted (obs::sinkFlushFailures), failing the suite's exit.
-        if (sample_case) {
-            record.resources["samples"] =
-                static_cast<double>(obs::samplerSampleCount());
-            const std::string sample_out = obs::sampleOutPath();
-            if (!sample_out.empty() &&
-                !obs::writeSampleProfile(
-                    casePathFor(sample_out, def.name)))
-                obs::noteSinkLost("sample profile", def.name);
-        }
-        if (heap_case) {
-            const obs::HeapStats heap = obs::heapStatsSnapshot();
-            record.resources["alloc_bytes"] =
-                static_cast<double>(heap.allocBytes);
-            record.resources["alloc_count"] =
-                static_cast<double>(heap.allocCount);
-            record.resources["peak_heap"] =
-                static_cast<double>(heap.peakBytes);
-            const std::string heap_out = obs::heapOutPath();
-            if (!heap_out.empty() &&
-                !obs::writeHeapProfile(casePathFor(heap_out, def.name)))
-                obs::noteSinkLost("heap profile", def.name);
-        }
-        if (trace_case && !obs::writeTrace(caseTracePath(def.name)))
-            obs::noteSinkLost("timeline", def.name);
 
         obs::setMetricsEnabled(prev_metrics);
         if (ThreadPool::instance().threadCount() != prev_threads)
@@ -377,13 +329,6 @@ runRegisteredCases(const RunnerOptions& opts)
         std::fprintf(stderr, "bench harness: no cases match\n");
         return 1;
     }
-    // Sampling profiler (no-op unless MRQ_SAMPLE / MRQ_SAMPLE_OUT):
-    // armed once for the suite; runCase resets the aggregate per case.
-    obs::startSamplerFromEnv();
-    // Heap profiler (MRQ_HEAPPROF): same suite-level arming; runCase
-    // resets the aggregate per case and fills the alloc_* resources.
-    obs::startHeapProfilerFromEnv();
-
     BenchReport report;
     report.suite = opts.suite;
     report.manifest.run = "bench." + opts.suite;
@@ -395,10 +340,6 @@ runRegisteredCases(const RunnerOptions& opts)
         "threads",
         std::to_string(ThreadPool::instance().threadCount()));
     report.manifest.add("build", MRQ_BUILD_TYPE);
-    // Black box for bench runs too: a crashed case leaves a
-    // post-mortem naming the rep it died in.
-    if (obs::installCrashHandlersFromEnv())
-        obs::setPostmortemManifest(obs::manifestJson(report.manifest));
 
     TablePrinter table;
     bool any_failed = false;
@@ -415,8 +356,9 @@ runRegisteredCases(const RunnerOptions& opts)
         any_failed = any_failed || record.failed;
         report.cases.push_back(std::move(record));
     }
-    // Disarm before teardown (per-case profiles are already written);
-    // a joinable drain thread must never reach static destruction.
+    // Disarm the profilers each case's scope armed (the per-case
+    // profiles are already written); a joinable drain thread must
+    // never reach static destruction.
     obs::stopSampler();
     obs::stopHeapProfiler();
 

@@ -13,6 +13,10 @@
  *     after the last one, so hw-sim cycles, term-pair counts and
  *     projection-cache hit rates land in the report next to wall
  *     time,
+ *   - one obs::RunScope per case around the timed reps, so the
+ *     case's sink files land in MRQ_RUN_DIR under the case name and
+ *     a pipeline run inside the case neither resets the registry nor
+ *     writes files of its own,
  *   - one versioned BENCH_<suite>.json per run (schema in
  *     report.hpp), stamped with the PR 2 RunManifest header
  *     (git describe, seed, MRQ_THREADS, build type, tier),

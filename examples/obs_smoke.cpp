@@ -3,28 +3,30 @@
  * Observability smoke run: a deliberately tiny multi-resolution
  * training pipeline sized for CI.  Run with
  *
- *     MRQ_METRICS_OUT=metrics.jsonl ./obs_smoke
+ *     MRQ_RUN_DIR=run ./obs_smoke
  *
  * and the run manifest plus every deterministic metric (loss curves,
  * kept-term histograms, projection-cache hits, per-rung evals) lands
- * in metrics.jsonl — `tools/check_schema.py metrics` validates the
- * format.  The file is byte-identical at any MRQ_THREADS.
+ * in run/metrics.jsonl — `tools/check_schema.py metrics` validates
+ * the format.  The file is byte-identical at any MRQ_THREADS.
  *
- * Also exercises the rest of the observability stack:
+ * Also exercises the rest of the observability stack, each switch
+ * adding a file to the run directory (the run is
+ * classifier.multires):
  *
- *     MRQ_TRACE_OUT=trace.json   Chrome/Perfetto timeline of the run
+ *     MRQ_TRACE=1                Chrome/Perfetto timeline, <run>.trace.json
  *                                (tools/check_schema.py trace;
  *                                tools/trace_report.py prints per-path
  *                                self/total time and calls)
- *     MRQ_SAMPLE_OUT=cpu.jsonl   CPU and heap stack profiles
- *     MRQ_HEAPPROF_OUT=heap.jsonl (tools/check_schema.py profile;
+ *     MRQ_SAMPLE=1               CPU and heap stack profiles,
+ *     MRQ_HEAPPROF=1             <run>.cpu.jsonl and <run>.heap.jsonl
+ *                                (tools/check_schema.py profile;
  *                                tools/profile_diff.py diffs two or
  *                                renders one as folded stacks)
  *     MRQ_WATCHDOG=on|strict     training-health alerts in the JSONL
  *     MRQ_INSPECT=on             per-layer/per-rung numerical-health
- *                                records in MRQ_INSPECT_OUT
- *                                (default inspect.jsonl;
- *                                tools/check_schema.py inspect,
+ *                                records in inspect.jsonl
+ *                                (tools/check_schema.py inspect,
  *                                tools/inspect_report.py)
  *
  * Exits non-zero when any telemetry sink failed to flush, so CI

@@ -262,10 +262,12 @@ writeDump(int fd, const char* reason, int sig, const void* addr,
 {
     std::size_t lines =
         writeDumpPrefix(fd, reason, sig, addr, exception_type);
-    if (heapInterpositionActive()) {
-        // Heap digest: relaxed atomic loads only (handler-safe), so a
-        // crash mid-allocation still reports coherent-enough totals.
-        const detail::HeapDumpCounters h = detail::heapDumpCounters();
+    // Heap digest: relaxed atomic loads only (handler-safe), so a
+    // crash mid-allocation still reports coherent-enough totals.  The
+    // hooks count only while armed, so a process that never armed one
+    // has no digest to give.
+    const detail::HeapDumpCounters h = detail::heapDumpCounters();
+    if (h.armed) {
         char hline[384];
         sigsafe::Buf out{hline, sizeof hline};
         out.put("{\"type\": \"heap\", \"current_bytes\": ");
@@ -704,7 +706,7 @@ installCrashHandlersFromEnv()
         if (!truthy(v))
             return false;
     CrashHandlerConfig cfg;
-    cfg.dumpDir = envValue("MRQ_POSTMORTEM_DIR", "");
+    cfg.dumpDir = envValue("MRQ_RUN_DIR", "");
     cfg.fault = envValue("MRQ_FAULT", "");
     cfg.hangAfterMs = envLong("MRQ_HANG_AFTER", 0);
     cfg.strictHang = watchdogModeFromEnv() == WatchdogMode::strict;

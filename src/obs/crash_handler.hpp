@@ -7,16 +7,17 @@
  * leaves behind what the flight recorder saw.
  *
  * The artifact is JSONL (one object per line) written with raw
- * write(2) into `MRQ_POSTMORTEM_DIR/postmortem.<pid>.jsonl` (stderr
- * when no directory is configured):
+ * write(2) into `$MRQ_RUN_DIR/postmortem.<pid>.jsonl` (stderr when
+ * no run directory is set):
  *
  *   {"type": "postmortem", "version": 1, "reason": ..., ...}  header —
  *       pid, faulting-thread name, git describe, active ISA, peak RSS;
  *       for signals also the name/number and fault address.
  *   {"type": "manifest", ...}   the active run's manifest (if a
  *       RunScope published one via setPostmortemManifest).
- *   {"type": "heap", ...}       heap-accounting digest (when the
- *       allocation interposition is linked, obs/heap_profiler.hpp).
+ *   {"type": "heap", ...}       heap-accounting digest (once a heap
+ *       hook — the profiler or an alloc guard — has been armed, since
+ *       the counters only count while one is; obs/heap_profiler.hpp).
  *   {"type": "frame", ...}     one per backtrace frame, innermost
  *       first, symbolized via dladdr (no demangling — the demangler
  *       allocates).
@@ -87,8 +88,8 @@ struct CrashHandlerConfig
 bool installCrashHandlers(const CrashHandlerConfig& config);
 
 /**
- * installCrashHandlers() from MRQ_POSTMORTEM_DIR / MRQ_FAULT /
- * MRQ_HANG_AFTER / MRQ_WATCHDOG.  Setting MRQ_CRASH_HANDLER to a
+ * installCrashHandlers() from MRQ_RUN_DIR (the dump directory) /
+ * MRQ_FAULT / MRQ_HANG_AFTER / MRQ_WATCHDOG.  Setting MRQ_CRASH_HANDLER to a
  * non-truthy value opts out entirely (returns false, installs
  * nothing).
  */

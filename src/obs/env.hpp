@@ -5,8 +5,8 @@
  * One truthiness rule for the whole library: a boolean knob is ON
  * exactly when its value is "1", "true" or "on" (case-insensitive).
  * Anything else — unset, empty, "0", "off", "yes", stray whitespace —
- * is OFF.  Path-valued knobs (MRQ_METRICS_OUT, MRQ_TRACE_OUT) use
- * envSet(): any non-empty value counts.
+ * is OFF.  The one path-valued knob, MRQ_RUN_DIR, uses envSet():
+ * any non-empty value counts.
  *
  * Before this header each module hand-rolled its own check (presence
  * in one place, "not 0" in another), so MRQ_TRACE=off enabled
@@ -53,7 +53,7 @@ envTruthy(const char* name)
 }
 
 /** True when the env variable @p name is set and non-empty (for
- *  path-valued knobs, where any non-empty string is a live sink). */
+ *  path-valued knobs, where any non-empty string counts). */
 inline bool
 envSet(const char* name)
 {
@@ -61,8 +61,7 @@ envSet(const char* name)
     return v != nullptr && v[0] != '\0';
 }
 
-/** Value of @p name, or @p fallback when unset/empty (path-valued
- *  knobs with a default, e.g. MRQ_INSPECT_OUT). */
+/** Value of @p name, or @p fallback when unset/empty. */
 inline const char*
 envValue(const char* name, const char* fallback)
 {

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <mutex>
 
-#include "obs/env.hpp"
 #include "obs/sigsafe.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -48,7 +47,9 @@ FlightRing g_rings[kFlightMaxThreads];
 std::mutex g_slot_mutex;
 
 std::atomic<std::uint64_t> g_dropped{0};
-std::atomic<int> g_enabled{-1}; // -1 = read MRQ_FLIGHT lazily.
+// On from the start: the black box only helps if it is running
+// before the crash.
+std::atomic<bool> g_enabled{true};
 std::atomic<std::size_t> g_cap{kFlightRingCap};
 
 /** Plain POD thread-local: safe to read from a signal handler, and —
@@ -129,23 +130,13 @@ currentRing()
 bool
 flightEnabled()
 {
-    int on = g_enabled.load(std::memory_order_relaxed);
-    if (on < 0) {
-        // On unless MRQ_FLIGHT is set to something non-truthy: the
-        // black box only helps if it is running before the crash.
-        const char* env = envValue("MRQ_FLIGHT", nullptr);
-        on = (env == nullptr || truthy(env)) ? 1 : 0;
-        g_enabled.store(on, std::memory_order_relaxed);
-    }
-    return on != 0;
+    return g_enabled.load(std::memory_order_relaxed);
 }
 
 bool
 setFlightEnabled(bool on)
 {
-    const bool prev = flightEnabled();
-    g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-    return prev;
+    return g_enabled.exchange(on, std::memory_order_relaxed);
 }
 
 std::size_t

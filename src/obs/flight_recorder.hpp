@@ -24,11 +24,11 @@
  * serial points or post-crash; thread *names* are written under the
  * slot mutex.
  *
- * Knob: MRQ_FLIGHT=0/off disables recording (it is on by default —
- * the steady-state cost is a few tens of ns at epoch-cadence record
- * sites, gated <2% by the telemetry_overhead bench).  Each thread
- * keeps the last kFlightRingCap events; setFlightRingCapacity()
- * shrinks that window (tests).
+ * Recording is on from the start — the steady-state cost is a few
+ * tens of ns at epoch-cadence record sites, gated <2% by the
+ * telemetry_overhead bench; setFlightEnabled() toggles it (tests,
+ * that bench).  Each thread keeps the last kFlightRingCap events;
+ * setFlightRingCapacity() shrinks that window (tests).
  */
 
 #ifndef MRQ_OBS_FLIGHT_RECORDER_HPP
@@ -54,7 +54,7 @@ constexpr std::size_t kFlightRingCap = 512;
 constexpr std::size_t kFlightNameCap = 40;
 constexpr std::size_t kFlightThreadNameCap = 32;
 
-/** True when recording is on (default; MRQ_FLIGHT=0/off disables). */
+/** True when recording is on (the default). */
 bool flightEnabled();
 
 /** Override recording (tests, bench); returns the previous value. */

@@ -66,6 +66,18 @@ std::atomic<int> g_active_guards{0};
 std::atomic<std::int64_t> g_guard_violations{0};
 std::atomic<int> g_guard_mode{-1}; // -1 = read MRQ_ALLOC_GUARD lazily
 
+// Sticky: some hook has been armed in this process, so the counters
+// above mean something.
+std::atomic<bool> g_hooks_ever_armed{false};
+
+/** Arm hook @p bit (1 profiler, 2 guards). */
+void
+armHook(int bit)
+{
+    g_hooks_ever_armed.store(true, std::memory_order_relaxed);
+    detail::g_heap_hooks.fetch_or(bit, std::memory_order_relaxed);
+}
+
 // First violating allocation, captured once: 0 empty, 1 being
 // written, 2 ready for the reporting guard to symbolize.
 std::atomic<int> g_violation_state{0};
@@ -288,6 +300,7 @@ HeapDumpCounters
 heapDumpCounters() noexcept
 {
     HeapDumpCounters c;
+    c.armed = g_hooks_ever_armed.load(std::memory_order_relaxed);
     const std::int64_t cur =
         g_current_bytes.load(std::memory_order_relaxed);
     c.currentBytes = cur > 0 ? cur : 0;
@@ -313,7 +326,7 @@ heapDumpCounters() noexcept
 bool
 heapProfilerEnabledFromEnv()
 {
-    return envTruthy("MRQ_HEAPPROF") || envSet("MRQ_HEAPPROF_OUT");
+    return envTruthy("MRQ_HEAPPROF");
 }
 
 std::int64_t
@@ -321,12 +334,6 @@ heapProfilerIntervalBytes()
 {
     return clampInterval(envLong("MRQ_HEAPPROF_INTERVAL",
                                  kHeapDefaultIntervalBytes));
-}
-
-std::string
-heapOutPath()
-{
-    return envValue("MRQ_HEAPPROF_OUT", "");
 }
 
 bool
@@ -342,7 +349,7 @@ startHeapProfiler(std::int64_t interval_bytes)
                                : heapProfilerIntervalBytes(),
                            std::memory_order_relaxed);
     detail::g_heapprof_running.store(1, std::memory_order_relaxed);
-    detail::g_heap_hooks.fetch_or(1, std::memory_order_relaxed);
+    armHook(1);
     flightMark("heapprof.start",
                g_interval_bytes.load(std::memory_order_relaxed));
     return true;
@@ -483,13 +490,6 @@ writeHeapProfile(const std::string& path)
     return writeStackProfile(path, doc);
 }
 
-bool
-flushHeapProfile(const std::string& run)
-{
-    const std::string out = heapOutPath();
-    return out.empty() || writeHeapProfile(resolveRunPath(out, run));
-}
-
 // ---- no-alloc guards ----------------------------------------------
 
 AllocGuardMode
@@ -611,7 +611,7 @@ AllocGuard::AllocGuard(const char* site, bool enable)
     ++t_guard_depth;
     t_guard_site = site;
     if (g_active_guards.fetch_add(1, std::memory_order_relaxed) == 0)
-        detail::g_heap_hooks.fetch_or(2, std::memory_order_relaxed);
+        armHook(2);
     active_ = true;
 }
 
@@ -669,7 +669,7 @@ InheritedAllocGuard::InheritedAllocGuard(int depth, const char* site)
     // that window (or, in tests, run with no outer guard at all) —
     // hold an arm refcount of our own.
     if (g_active_guards.fetch_add(1, std::memory_order_relaxed) == 0)
-        detail::g_heap_hooks.fetch_or(2, std::memory_order_relaxed);
+        armHook(2);
     armed_ = true;
 }
 

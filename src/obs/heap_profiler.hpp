@@ -24,8 +24,8 @@
  *    harness resources map and post-mortem dumps; the aggregate (the
  *    heap instance of obs/stack_profile.hpp, plus per-thread churn
  *    rows) is emitted as a kind "heap" stack profile weighted by
- *    bytes (MRQ_HEAPPROF_OUT, "{run}" substituted), checked and
- *    diffed by the same tools as the CPU profile.
+ *    bytes (<run>.heap.jsonl in MRQ_RUN_DIR), checked and diffed by
+ *    the same tools as the CPU profile.
  *
  *  - AllocGuard (MRQ_ALLOC_GUARD=on|strict): an RAII region declaring
  *    "this path must not allocate".  A violating allocation inside
@@ -91,6 +91,9 @@ void heapOnFree(void* p) noexcept;
  *  atomic loads only; no locks, no allocation). */
 struct HeapDumpCounters
 {
+    /** A hook (the profiler or an alloc guard) has been armed in this
+     *  process; until then every counter reads zero. */
+    bool armed;
     std::int64_t currentBytes;
     std::int64_t peakBytes;
     std::int64_t allocCount;
@@ -119,15 +122,12 @@ heapProfilerRunning()
                std::memory_order_relaxed) != 0;
 }
 
-/** True when MRQ_HEAPPROF is truthy or MRQ_HEAPPROF_OUT is set. */
+/** True when MRQ_HEAPPROF is truthy. */
 bool heapProfilerEnabledFromEnv();
 
 /** Sampling interval: MRQ_HEAPPROF_INTERVAL bytes clamped to
  *  [4096, 1 GiB]; kHeapDefaultIntervalBytes when unset. */
 std::int64_t heapProfilerIntervalBytes();
-
-/** MRQ_HEAPPROF_OUT ("" when unset); may contain "{run}". */
-std::string heapOutPath();
 
 /**
  * Arm the sampling profiler (idempotent; false when already running
@@ -151,8 +151,8 @@ std::int64_t heapSampleCount();
 std::int64_t heapSampledBytes();
 
 /** Drop aggregated stacks, zero the alloc/free totals and per-thread
- *  churn, and rebase the peak to the current level — the bench
- *  harness calls this per case.  Serial context only. */
+ *  churn, and rebase the peak to the current level — the outermost
+ *  RunScope calls this as it opens.  Serial context only. */
 void resetHeapProfile();
 
 /** Live heap totals (since the last resetHeapProfile()).  The
@@ -191,10 +191,6 @@ std::vector<ProfileStack> heapStacks();
  *  bytes, guard_violations; thread rows: alloc_bytes, alloc_count) to
  *  @p path via AtomicFile. */
 bool writeHeapProfile(const std::string& path);
-
-/** Write MRQ_HEAPPROF_OUT (with "{run}" replaced by @p run).  True
- *  when nothing was lost. */
-bool flushHeapProfile(const std::string& run);
 
 // ---- No-alloc guard regions ---------------------------------------
 

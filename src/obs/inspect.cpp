@@ -108,7 +108,7 @@ sqnrDb(double signal_power, double noise_power)
 
 QuantInspector::QuantInspector()
 {
-    enabled_ = envTruthy("MRQ_INSPECT") || envSet("MRQ_INSPECT_OUT");
+    enabled_ = envTruthy("MRQ_INSPECT");
     const long every = envLong("MRQ_INSPECT_EVERY", 1);
     every_ = every > 0 ? every : 1;
 }
@@ -137,12 +137,6 @@ QuantInspector::setEvery(std::int64_t every)
     const std::int64_t prev = every_;
     every_ = every > 0 ? every : 1;
     return prev;
-}
-
-std::string
-QuantInspector::outPath() const
-{
-    return envValue("MRQ_INSPECT_OUT", "inspect.jsonl");
 }
 
 void

@@ -4,8 +4,8 @@
  * telemetry for the UQ -> SDR -> TQ projection pipeline.
  *
  * The pipelines' end-to-end metrics say *that* a rung degraded; the
- * inspector says *where* and *why*.  When enabled (MRQ_INSPECT=on, or
- * MRQ_INSPECT_OUT set) it samples training steps (every
+ * inspector says *where* and *why*.  When enabled (MRQ_INSPECT=on)
+ * it samples training steps (every
  * MRQ_INSPECT_EVERY-th step, default 1) and records, per layer and per
  * sub-model rung:
  *
@@ -37,7 +37,8 @@
  *
  * Records are drained into the watchdog at batch boundaries
  * (feedWatchdog), driving the sqnr_collapse / saturation_ceiling /
- * rung_kl_blowup rules; RunScope writes the JSONL sink at run exit.
+ * rung_kl_blowup rules; the outermost RunScope appends its block to
+ * inspect.jsonl in MRQ_RUN_DIR at run exit.
  */
 
 #ifndef MRQ_OBS_INSPECT_HPP
@@ -113,7 +114,7 @@ class QuantInspector
   public:
     static QuantInspector& instance();
 
-    /** On when MRQ_INSPECT is truthy or MRQ_INSPECT_OUT is set. */
+    /** On when MRQ_INSPECT is truthy. */
     bool enabled() const { return enabled_; }
 
     /** Override enablement (tests, bench); returns previous. */
@@ -123,9 +124,6 @@ class QuantInspector
      *  previous.  Values < 1 are clamped to 1. */
     std::int64_t setEvery(std::int64_t every);
     std::int64_t every() const { return every_; }
-
-    /** Resolved output path (MRQ_INSPECT_OUT, default inspect.jsonl). */
-    std::string outPath() const;
 
     /**
      * Serial step boundary: decides whether this step is sampled

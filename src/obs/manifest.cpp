@@ -1,6 +1,5 @@
 #include "obs/manifest.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
@@ -36,40 +35,23 @@ namespace obs {
 
 namespace {
 
-/** Live RunScopes, outermost first.  Guarded: the watchdog may flush
- *  from library code while the owner frame is far up the stack. */
-struct ScopeStack
-{
-    std::mutex mutex;
-    std::vector<RunScope*> scopes;
-};
-
-ScopeStack&
-scopeStack()
-{
-    static ScopeStack stack;
-    return stack;
-}
-
-void
-pushScope(RunScope* scope)
-{
-    ScopeStack& stack = scopeStack();
-    std::lock_guard<std::mutex> lock(stack.mutex);
-    stack.scopes.push_back(scope);
-}
-
-void
-popScope(RunScope* scope)
-{
-    ScopeStack& stack = scopeStack();
-    std::lock_guard<std::mutex> lock(stack.mutex);
-    auto it = std::find(stack.scopes.begin(), stack.scopes.end(), scope);
-    if (it != stack.scopes.end())
-        stack.scopes.erase(it);
-}
+/** The live outermost RunScope, or null.  Guarded: the watchdog may
+ *  flush it from library code while the owner frame is far up the
+ *  stack, and the hang monitor from its own thread. */
+std::mutex g_outermost_mutex;
+RunScope* g_outermost = nullptr;
 
 std::atomic<std::int64_t> g_sink_flush_failures{0};
+
+/** Report one lost sink file on stderr and count it in
+ *  sinkFlushFailures(). */
+void
+noteSinkLost(const char* what, const std::string& run)
+{
+    std::fprintf(stderr, "mrq: %s for run '%s' were lost\n", what,
+                 run.c_str());
+    g_sink_flush_failures.fetch_add(1, std::memory_order_relaxed);
+}
 
 } // namespace
 
@@ -121,11 +103,29 @@ manifestJson(const RunManifest& manifest)
     return out;
 }
 
+std::string
+runFilePath(const std::string& file, const std::string& run)
+{
+    const char* dir = envValue("MRQ_RUN_DIR", nullptr);
+    if (dir == nullptr)
+        return {};
+    return std::string(dir) + "/" + (run.empty() ? file : run + "." + file);
+}
+
 RunScope::RunScope(RunManifest manifest, bool verbose)
     : manifest_(std::move(manifest)), verbose_(verbose)
 {
+    {
+        // Only the outermost scope is a run: one opened inside it (a
+        // pipeline inside a bench case) resets and writes nothing.
+        std::lock_guard<std::mutex> lock(g_outermost_mutex);
+        if (g_outermost != nullptr)
+            return;
+        g_outermost = this;
+    }
+    outermost_ = true;
     applyBuildProvenance(&manifest_);
-    const bool sink_live = envSet("MRQ_METRICS_OUT") || traceEnabled() ||
+    const bool sink_live = envSet("MRQ_RUN_DIR") || traceEnabled() ||
                            verbose_;
     prevVerbose_ = setLogVerbose(verbose_);
     if (sink_live) {
@@ -138,77 +138,87 @@ RunScope::RunScope(RunManifest manifest, bool verbose)
     // keep the layer registry (layer objects cache their ids).
     if (QuantInspector::instance().enabled())
         QuantInspector::instance().reset();
-    pushScope(this);
     // Arm the black box before anything can crash: install the signal
     // handlers (idempotent; MRQ_CRASH_HANDLER=0 opts out) and publish
     // this run's manifest line for post-mortem dumps.
     if (installCrashHandlersFromEnv())
         setPostmortemManifest(manifestJson(manifest_));
-    // Sampling profiler (MRQ_SAMPLE / MRQ_SAMPLE_OUT): idempotent —
-    // already-running (e.g. armed by an outer scope or the bench
-    // harness) just keeps running.
+    // The profilers (MRQ_SAMPLE, MRQ_HEAPPROF) keep running across
+    // runs once armed.
     startSamplerFromEnv();
-    // Heap profiler (MRQ_HEAPPROF / MRQ_HEAPPROF_OUT): same contract.
     startHeapProfilerFromEnv();
+    // This run's timeline and profiles start here, so each file holds
+    // exactly this run and not what ran before it.
+    if (traceExportEnabled())
+        resetTraceBuffers();
+    if (samplerRunning())
+        resetSamplerProfile();
+    if (heapProfilerRunning())
+        resetHeapProfile();
 }
 
 void
 RunScope::flush()
 {
-    if (flushed_)
+    if (!outermost_ || flushed_)
         return;
     flushed_ = true;
+    const std::string& run = manifest_.run;
     if (metricsEnabled()) {
-        if (const char* path = envValue("MRQ_METRICS_OUT", nullptr)) {
+        const std::string path = runFilePath("metrics.jsonl");
+        if (!path.empty()) {
             if (!MetricsRegistry::instance().writeJsonl(
                     path, manifestJson(manifest_)))
-                noteSinkLost("metrics", manifest_.run);
+                noteSinkLost("metrics", run);
             else if (verbose_)
-                std::fprintf(stdout, "mrq: metrics -> %s\n", path);
+                std::fprintf(stdout, "mrq: metrics -> %s\n",
+                             path.c_str());
         }
         if (verbose_)
             MetricsRegistry::instance().printSummary(stdout);
     }
-    if (traceExportEnabled()) {
-        // "{run}" in MRQ_TRACE_OUT splits the timeline per run.
+    struct PerRunSink
+    {
+        bool live;
+        const char* file;
+        const char* what;
+        bool (*write)(const std::string&);
+    };
+    const PerRunSink per_run[] = {
+        {traceExportEnabled(), "trace.json", "timeline", &writeTrace},
+        {samplerRunning(), "cpu.jsonl", "sample profile",
+         &writeSampleProfile},
+        {heapProfilerRunning(), "heap.jsonl", "heap profile",
+         &writeHeapProfile},
+    };
+    for (const PerRunSink& sink : per_run) {
         const std::string path =
-            resolveRunPath(traceExportPath(), manifest_.run);
-        // Buffers are cumulative: each flush rewrites the file with
-        // the timeline so far, so the last run's write holds the
-        // whole process.
-        if (!path.empty() && !writeTrace(path))
-            noteSinkLost("timeline", manifest_.run);
-    }
-    if (samplerEnabledFromEnv()) {
-        // Like the timeline: the aggregated profile is cumulative, so
-        // the last run's write holds the whole process unless the
-        // path splits per run via "{run}".
-        if (!flushSampleProfile(manifest_.run))
-            noteSinkLost("sample profile", manifest_.run);
-    }
-    if (heapProfilerEnabledFromEnv()) {
-        // Cumulative like the sample profile; "{run}" in the path
-        // splits per run.
-        if (!flushHeapProfile(manifest_.run))
-            noteSinkLost("heap profile", manifest_.run);
+            sink.live ? runFilePath(sink.file, run) : std::string();
+        if (!path.empty() && !sink.write(path))
+            noteSinkLost(sink.what, run);
     }
     QuantInspector& inspector = QuantInspector::instance();
-    if (inspector.enabled()) {
-        // Appended, manifest line first: several runs in one process
-        // stack their blocks in the same file, mirroring metrics.
-        const std::string path = inspector.outPath();
-        if (!inspector.writeJsonl(path, manifestJson(manifest_),
+    const std::string inspect_path = runFilePath("inspect.jsonl");
+    if (inspector.enabled() && !inspect_path.empty()) {
+        // Appended, manifest line first, like metrics.
+        if (!inspector.writeJsonl(inspect_path, manifestJson(manifest_),
                                   /*append=*/true))
-            noteSinkLost("inspector records", manifest_.run);
+            noteSinkLost("inspector records", run);
         else if (verbose_)
-            std::fprintf(stdout, "mrq: inspector -> %s\n", path.c_str());
+            std::fprintf(stdout, "mrq: inspector -> %s\n",
+                         inspect_path.c_str());
     }
 }
 
 RunScope::~RunScope()
 {
+    if (!outermost_)
+        return;
     flush();
-    popScope(this);
+    {
+        std::lock_guard<std::mutex> lock(g_outermost_mutex);
+        g_outermost = nullptr;
+    }
     setMetricsEnabled(prevEnabled_);
     setLogVerbose(prevVerbose_);
 }
@@ -216,30 +226,21 @@ RunScope::~RunScope()
 void
 flushActiveRunScope()
 {
-    // Copy under the lock, flush outside it: flush() writes files and
+    // Read under the lock, flush outside it: flush() writes files and
     // may take the registry/ring locks.
-    std::vector<RunScope*> scopes;
+    RunScope* scope = nullptr;
     {
-        ScopeStack& stack = scopeStack();
-        std::lock_guard<std::mutex> lock(stack.mutex);
-        scopes = stack.scopes;
+        std::lock_guard<std::mutex> lock(g_outermost_mutex);
+        scope = g_outermost;
     }
-    for (auto it = scopes.rbegin(); it != scopes.rend(); ++it)
-        (*it)->flush();
+    if (scope != nullptr)
+        scope->flush();
 }
 
 std::int64_t
 sinkFlushFailures()
 {
     return g_sink_flush_failures.load(std::memory_order_relaxed);
-}
-
-void
-noteSinkLost(const char* what, const std::string& run)
-{
-    std::fprintf(stderr, "mrq: %s for run '%s' were lost\n", what,
-                 run.c_str());
-    g_sink_flush_failures.fetch_add(1, std::memory_order_relaxed);
 }
 
 } // namespace obs

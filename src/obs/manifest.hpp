@@ -1,7 +1,7 @@
 /**
  * @file
- * Run manifests and the RunScope guard that ties a pipeline run to
- * the metrics sinks.
+ * Run manifests and the RunScope guard that ties a run (a pipeline,
+ * a bench case) to the sinks.
  *
  * A manifest records what was run — task, seed, ladder, options — and
  * what ran it: git describe, dirty-tree flag, compiler id/version,
@@ -11,16 +11,24 @@
  * dependent (timestamps, hostnames, MRQ_THREADS): the whole JSONL
  * file must be byte-identical for a fixed seed at any pool size.
  *
- * RunScope is the single integration point pipelines use: on entry it
+ * RunScope is the single integration point pipelines and the bench
+ * harness use.  Only the outermost live scope is a run: on entry it
  * resets the registry and enables collection when any sink is live
- * (MRQ_METRICS_OUT set, tracing on, or verbose requested); on exit it
- * flushes every live sink — JSONL metrics, the MRQ_TRACE_OUT
- * timeline, the stack profiles, the verbose summary — then
- * restores the previous enable/verbose state.  With no sink live it
- * enables nothing, keeping instrumented hot loops at their disabled
- * near-zero cost.
+ * (MRQ_RUN_DIR set, tracing on, or verbose requested) and restarts
+ * the timeline and profiles; on exit it writes every live sink to
+ * the run directory and restores the previous enable/verbose state.
+ * A scope opened inside it (a pipeline inside a bench case) is
+ * pass-through.  With no sink live it enables nothing, keeping
+ * instrumented hot loops at their disabled near-zero cost.
  *
- * Scopes register on a process-wide stack so flushActiveRunScope()
+ * Files in $MRQ_RUN_DIR (none without it), <run> being the
+ * outermost scope's run name: metrics.jsonl and, with MRQ_INSPECT=on,
+ * inspect.jsonl (one manifest-led block appended per run);
+ * <run>.trace.json (MRQ_TRACE=1), <run>.cpu.jsonl (MRQ_SAMPLE=1),
+ * <run>.heap.jsonl (MRQ_HEAPPROF=1); postmortem.<pid>[.usr1].jsonl
+ * (obs/crash_handler.hpp).
+ *
+ * The live scope is registered process-wide so flushActiveRunScope()
  * can persist a run that is about to die without stack unwinding
  * (the watchdog's strict-mode std::exit path).
  */
@@ -73,7 +81,16 @@ void applyBuildProvenance(RunManifest* manifest);
 /** Render the manifest as a single JSON object line. */
 std::string manifestJson(const RunManifest& manifest);
 
-/** Scoped run: reset-and-enable on entry, flush sinks on exit. */
+/**
+ * Path of sink file @p file in $MRQ_RUN_DIR, or "" when it is unset.
+ * A non-empty @p run names a per-run file "<run>.<file>"; an empty
+ * one a file every run appends its block to.
+ */
+std::string runFilePath(const std::string& file,
+                        const std::string& run = "");
+
+/** Scoped run: reset-and-enable on entry, flush sinks on exit; a
+ *  scope opened inside a live one is pass-through. */
 class RunScope
 {
   public:
@@ -98,27 +115,25 @@ class RunScope
   private:
     RunManifest manifest_;
     bool verbose_ = false;
+    bool outermost_ = false;
     bool prevEnabled_ = false;
     bool prevVerbose_ = false;
     bool flushed_ = false;
 };
 
-/** Flush every RunScope currently on the stack (innermost first).
- *  Safe to call with none active. */
+/** Flush the live outermost RunScope.  Safe to call with none
+ *  active. */
 void flushActiveRunScope();
 
 /**
  * Process-wide count of sink writes that failed (metrics, timeline,
  * profile or inspector files that could not be written) during
- * RunScope flushes or per-case bench writes.  Lets drivers propagate
- * a non-zero exit status instead of silently losing telemetry:
+ * RunScope flushes, each also reported on stderr ("mrq: <what> for
+ * run '<run>' were lost").  Lets drivers propagate a non-zero exit
+ * status instead of silently losing telemetry:
  * `return sinkFlushFailures() == 0 ? 0 : 1`.
  */
 std::int64_t sinkFlushFailures();
-
-/** Report one lost sink file on stderr ("mrq: <what> for run '<run>'
- *  were lost") and count it in sinkFlushFailures(). */
-void noteSinkLost(const char* what, const std::string& run);
 
 } // namespace obs
 } // namespace mrq

@@ -22,12 +22,11 @@ namespace detail {
 
 // Order matters: g_metrics_enabled reads g_trace_enabled, and both
 // are dynamically initialized in declaration order within this TU.
-// MRQ_TRACE_OUT implies span tracing (the timeline is built from
-// spans), which in turn implies metrics.
-std::atomic<bool> g_trace_enabled{envTruthy("MRQ_TRACE") ||
-                                  envSet("MRQ_TRACE_OUT")};
+// A run directory (its metrics.jsonl) or span tracing implies
+// metrics.
+std::atomic<bool> g_trace_enabled{envTruthy("MRQ_TRACE")};
 std::atomic<bool> g_metrics_enabled{
-    envSet("MRQ_METRICS_OUT") ||
+    envSet("MRQ_RUN_DIR") ||
     g_trace_enabled.load(std::memory_order_relaxed)};
 
 } // namespace detail

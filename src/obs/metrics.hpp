@@ -28,9 +28,10 @@
  * appear in the summary only when tracing is on (MRQ_TRACE=1), so a
  * verbose run's stdout stays diffable across MRQ_THREADS.
  *
- * Disabled mode (no MRQ_METRICS_OUT, no MRQ_TRACE, no RunScope with
- * verbose): every record call is a single relaxed atomic load and a
- * branch; no descriptors, shards or files are created.
+ * Disabled mode (no MRQ_RUN_DIR, no MRQ_TRACE, no RunScope with
+ * verbose, no bench case): every record call is a single relaxed
+ * atomic load and a branch; no descriptors, shards or files are
+ * created.
  */
 
 #ifndef MRQ_OBS_METRICS_HPP

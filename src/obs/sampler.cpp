@@ -286,7 +286,7 @@ drainLoop()
 bool
 samplerEnabledFromEnv()
 {
-    return envTruthy("MRQ_SAMPLE") || envSet("MRQ_SAMPLE_OUT");
+    return envTruthy("MRQ_SAMPLE");
 }
 
 long
@@ -306,12 +306,6 @@ samplePeriodNs()
     if (g_period_ns > 0)
         return g_period_ns;
     return 1000000000LL / samplerHz();
-}
-
-std::string
-sampleOutPath()
-{
-    return envValue("MRQ_SAMPLE_OUT", "");
 }
 
 bool
@@ -470,13 +464,6 @@ writeSampleProfile(const std::string& path)
                                 {"queue_wait_ns", t.queueWaitNs},
                                 {"idle_ns", t.idleNs}}});
     return writeStackProfile(path, doc);
-}
-
-bool
-flushSampleProfile(const std::string& run)
-{
-    const std::string out = sampleOutPath();
-    return out.empty() || writeSampleProfile(resolveRunPath(out, run));
 }
 
 // ---- Off-CPU accounting -------------------------------------------

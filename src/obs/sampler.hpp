@@ -29,13 +29,12 @@
  * periodic flight-recorder checkpoints ("tstate.<thread>" metric
  * events), the profile's thread rows and perfbench's pool.* metrics.
  *
- * Output is a kind "cpu" stack profile (MRQ_SAMPLE_OUT, schema and
- * tools in obs/stack_profile.hpp; "{run}" placeholder substituted
- * like MRQ_TRACE_OUT).
+ * Output is a kind "cpu" stack profile (schema and tools in
+ * obs/stack_profile.hpp), written by the outermost RunScope to
+ * <run>.cpu.jsonl in MRQ_RUN_DIR.
  *
- * Knobs: MRQ_SAMPLE=1 enables (MRQ_SAMPLE_OUT implies it),
- * MRQ_SAMPLE_HZ overrides the rate (clamped to [1, 10000]),
- * MRQ_SAMPLE_OUT names the sink.
+ * Knobs: MRQ_SAMPLE=1 enables, MRQ_SAMPLE_HZ overrides the rate
+ * (clamped to [1, 10000]).
  */
 
 #ifndef MRQ_OBS_SAMPLER_HPP
@@ -74,7 +73,7 @@ samplerRunning()
            0;
 }
 
-/** True when MRQ_SAMPLE is truthy or MRQ_SAMPLE_OUT names a sink. */
+/** True when MRQ_SAMPLE is truthy. */
 bool samplerEnabledFromEnv();
 
 /** Sampling rate: MRQ_SAMPLE_HZ clamped to [1, 10000]. */
@@ -82,9 +81,6 @@ long samplerHz();
 
 /** Sample period in ns at samplerHz() (the weight of one sample). */
 std::int64_t samplePeriodNs();
-
-/** MRQ_SAMPLE_OUT ("" when unset); may contain "{run}". */
-std::string sampleOutPath();
 
 /**
  * Arm the profiler: install the SIGPROF handler (idempotent), warm
@@ -108,7 +104,8 @@ std::int64_t samplerSampleCount();
 std::int64_t samplerDroppedSamples();
 
 /** Drop aggregated stacks, counters and thread-time accumulators —
- *  the bench harness calls this per case.  Serial context only. */
+ *  the outermost RunScope calls this as it opens.  Serial context
+ *  only. */
 void resetSamplerProfile();
 
 /** Drain the rings and return the aggregated stacks, heaviest first
@@ -119,10 +116,6 @@ std::vector<ProfileStack> samplerStacks();
  *  dropped; thread rows: busy_ns, queue_wait_ns, idle_ns) to @p path
  *  via AtomicFile. */
 bool writeSampleProfile(const std::string& path);
-
-/** Write MRQ_SAMPLE_OUT (with "{run}" replaced by @p run).  True when
- *  nothing was lost. */
-bool flushSampleProfile(const std::string& run);
 
 // ---- Off-CPU accounting -------------------------------------------
 

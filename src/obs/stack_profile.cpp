@@ -128,15 +128,6 @@ jsonEscape(const std::string& s)
 }
 
 std::string
-resolveRunPath(std::string path, const std::string& run)
-{
-    const std::size_t pos = path.find("{run}");
-    if (pos != std::string::npos)
-        path.replace(pos, 5, run);
-    return path;
-}
-
-std::string
 symbolizePc(std::uintptr_t pc)
 {
     SymbolCache& cache = symbolCache();

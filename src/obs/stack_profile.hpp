@@ -21,8 +21,8 @@
  *    emission context only.
  *  - profileStacks: symbolized rows in one deterministic order —
  *    weight descending, ties broken by thread, span, kernel, frames.
- *  - One JSONL writer (atomic tmp+rename via obs/atomic_file.hpp) and
- *    the "{run}" placeholder contract shared with MRQ_TRACE_OUT.
+ *  - One JSONL writer (atomic tmp+rename via obs/atomic_file.hpp);
+ *    the outermost RunScope names its files (obs/manifest.hpp).
  *
  * Profile JSONL, schema v2 (one JSON object per line):
  *
@@ -70,9 +70,6 @@ enum class ProfileKind : int
  *  control characters as \u00XX.  Every JSONL sink in src/obs uses
  *  it, so their outputs escape identically. */
 std::string jsonEscape(const std::string& s);
-
-/** @p path with its first "{run}" placeholder replaced by @p run. */
-std::string resolveRunPath(std::string path, const std::string& run);
 
 /** Demangled symbol name for @p pc via dladdr, argument list dropped
  *  ("0x..." when the PC has no dynamic symbol).  Cached; emission

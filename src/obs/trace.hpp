@@ -8,8 +8,9 @@
  * as a timing aggregate in the MetricsRegistry.  Paths, not
  * individual events, are aggregated — a span that runs a thousand
  * times is one summary row.  When timeline export is live
- * (MRQ_TRACE_OUT, see trace_export.hpp) each span additionally
- * records one begin/end event into its thread's ring buffer.
+ * (MRQ_TRACE=1 with MRQ_RUN_DIR, see trace_export.hpp) each span
+ * additionally records one begin/end event into its thread's ring
+ * buffer.
  *
  * Paths are interned: every distinct (parent path, name) pair gets a
  * process-wide integer id whose full string and registry timing id
@@ -27,9 +28,9 @@
  * parent to the span that launched the loop even though they run on a
  * different thread.
  *
- * Spans are active only when traceEnabled() (MRQ_TRACE=1,
- * MRQ_TRACE_OUT set, or setTraceEnabled); when
- * disabled, construction is a relaxed atomic load and a branch.  Span
+ * Spans are active only when traceEnabled() (MRQ_TRACE=1 or
+ * setTraceEnabled); when disabled, construction is a relaxed atomic
+ * load and a branch.  Span
  * timings go to the summary sink only — wall times are inherently
  * non-deterministic, and the JSONL sink must stay byte-identical
  * across MRQ_THREADS.

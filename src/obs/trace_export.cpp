@@ -20,7 +20,8 @@ namespace obs {
 
 namespace detail {
 
-std::atomic<bool> g_trace_export_enabled{envSet("MRQ_TRACE_OUT")};
+std::atomic<bool> g_trace_export_enabled{envTruthy("MRQ_TRACE") &&
+                                         envSet("MRQ_RUN_DIR")};
 
 } // namespace detail
 
@@ -29,12 +30,6 @@ setTraceExportEnabled(bool on)
 {
     return detail::g_trace_export_enabled.exchange(
         on, std::memory_order_relaxed);
-}
-
-std::string
-traceExportPath()
-{
-    return std::string(envValue("MRQ_TRACE_OUT", ""));
 }
 
 namespace {

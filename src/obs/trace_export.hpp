@@ -3,16 +3,16 @@
  * Timeline export: per-event span records flushed as Chrome
  * trace-event JSON.
  *
- * When MRQ_TRACE_OUT=<path> is set (which also turns tracing and
- * metrics on), every TraceSpan destruction additionally records one
+ * When MRQ_TRACE=1 and MRQ_RUN_DIR are both set, every TraceSpan
+ * destruction additionally records one
  * *complete* event — start, duration, interned path id, optional
  * argument — into a per-thread ring buffer.  Rings are bounded and
  * drop-oldest: a long run keeps the most recent window per thread and
  * counts what it dropped, so tracing can stay on for a whole training
  * job without unbounded memory.  Each ring is written by exactly one
- * thread and read only at serial points (RunScope exit, bench-case
- * flush), where thread-pool quiescence provides the happens-before
- * edge — the same model as the metrics shards.
+ * thread and read only at serial points (RunScope entry and exit),
+ * where thread-pool quiescence provides the happens-before edge — the
+ * same model as the metrics shards.
  *
  * Counter tracks (loss curves, cache hit rate, hw cycles) and instant
  * events (watchdog alerts) are recorded from serial code into
@@ -21,10 +21,9 @@
  * writeTrace() renders everything as one JSON object in the Chrome
  * trace-event format ("traceEvents" array of ph=X/C/i/M events,
  * microsecond timestamps rebased to the earliest event), loadable in
- * Perfetto or chrome://tracing.  Buffers are cumulative across runs;
- * RunScope rewrites the file on each exit so the final file holds the
- * whole process timeline.  The bench harness instead brackets each
- * case with resetTraceBuffers()/writeTrace() for per-case files.
+ * Perfetto or chrome://tracing.  The outermost RunScope brackets its
+ * run with resetTraceBuffers()/writeTrace(), so <run>.trace.json in
+ * MRQ_RUN_DIR holds exactly that run (a pipeline, a bench case).
  *
  * Timelines are wall-clock and therefore exempt from the JSONL
  * determinism contract: nothing recorded here ever reaches the JSONL
@@ -46,8 +45,9 @@ namespace detail {
 extern std::atomic<bool> g_trace_export_enabled;
 } // namespace detail
 
-/** True when per-event timeline recording is on (MRQ_TRACE_OUT set or
- *  setTraceExportEnabled).  Spans also require traceEnabled(). */
+/** True when per-event timeline recording is on (MRQ_TRACE=1 with
+ *  MRQ_RUN_DIR set, or setTraceExportEnabled).  Spans also require
+ *  traceEnabled(). */
 inline bool
 traceExportEnabled()
 {
@@ -56,9 +56,6 @@ traceExportEnabled()
 
 /** Override timeline recording (tests, bench); returns previous. */
 bool setTraceExportEnabled(bool on);
-
-/** MRQ_TRACE_OUT value, or "" when unset. */
-std::string traceExportPath();
 
 /** Record one completed span (called by ~TraceSpan).  @p arg < 0
  *  means "no argument". */

@@ -3,13 +3,15 @@
  * Bench-harness tests: robust statistics on known sequences, label
  * slugification, BENCH_*.json schema round-trips, quick-tier
  * determinism of the registered-case runner (two runs identical
- * modulo timing), metrics-snapshot capture, require() and lost-sink
+ * modulo timing), metrics-snapshot capture, one run (and one set of
+ * sink files) per case whatever the sinks, require() and lost-sink
  * failure propagation, and the exit-code contracts of
  * tools/bench_compare.py and tools/profile_diff.py.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -17,9 +19,12 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/harness.hpp"
+#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace_export.hpp"
 
 #ifndef MRQ_SOURCE_DIR
 #define MRQ_SOURCE_DIR "."
@@ -279,11 +284,27 @@ failingCase(BenchContext& ctx)
     ctx.require(false, "always fails");
 }
 
+/** A case around a pipeline: one counter before the pipeline's
+ *  RunScope opens, one inside it. */
+void
+sinksCase(BenchContext&)
+{
+    static obs::Counter before("test.bench.before_scope");
+    static obs::Counter inside("test.bench.inside_scope");
+    before.add(3);
+    obs::RunManifest manifest;
+    manifest.run = "unit.pipeline";
+    const obs::RunScope pipeline(std::move(manifest), /*verbose=*/false);
+    inside.add(5);
+}
+
 const bool g_registered =
     Registry::instance().add("ztest_synthetic", "Unit", "synthetic case",
                              &syntheticCase, defaultCase()) &&
     Registry::instance().add("ztest_failing", "Unit", "failing case",
-                             &failingCase, heavyCase());
+                             &failingCase, heavyCase()) &&
+    Registry::instance().add("ztest_sinks", "Unit", "case around a run",
+                             &sinksCase, heavyCase());
 
 RunnerOptions
 unitOptions(const std::string& out_path, const std::string& filter)
@@ -306,6 +327,19 @@ runAndParseInto(BenchReport* out, const std::string& out_path,
     std::string error;
     ASSERT_TRUE(parseBenchReport(readFile(out_path), out, &error))
         << error;
+}
+
+void
+expectSameMetrics(const CaseRecord& a, const CaseRecord& b)
+{
+    ASSERT_EQ(a.metrics.size(), b.metrics.size());
+    for (const auto& [name, mv] : a.metrics) {
+        ASSERT_TRUE(b.metrics.count(name)) << name;
+        const MetricValue& other = b.metrics.at(name);
+        EXPECT_EQ(mv.isInt, other.isInt) << name;
+        EXPECT_EQ(mv.i, other.i) << name;
+        EXPECT_DOUBLE_EQ(mv.d, other.d) << name;
+    }
 }
 
 TEST(BenchRunner, CapturesValuesTimingAndMetrics)
@@ -357,14 +391,49 @@ TEST(BenchRunner, QuickTierRunsAreIdenticalModuloTiming)
     ASSERT_EQ(b.cases.size(), 1u);
     EXPECT_EQ(a.cases[0].values, b.cases[0].values);
     EXPECT_EQ(a.cases[0].timingValues, b.cases[0].timingValues);
-    ASSERT_EQ(a.cases[0].metrics.size(), b.cases[0].metrics.size());
-    for (const auto& [name, mv] : a.cases[0].metrics) {
-        ASSERT_TRUE(b.cases[0].metrics.count(name)) << name;
-        const MetricValue& other = b.cases[0].metrics.at(name);
-        EXPECT_EQ(mv.isInt, other.isInt) << name;
-        EXPECT_EQ(mv.i, other.i) << name;
-        EXPECT_DOUBLE_EQ(mv.d, other.d) << name;
-    }
+    expectSameMetrics(a.cases[0], b.cases[0]);
+}
+
+TEST(BenchRunner, SinksDoNotChangeCaseMetrics)
+{
+    BenchReport plain, sinks;
+    runAndParseInto(&plain, tempPath("bench_runner_plain.json"),
+                    "ztest_sinks", 0);
+    const std::string dir = tempPath("bench_runner_run_dir");
+    std::filesystem::remove_all(dir);
+    ::setenv("MRQ_RUN_DIR", dir.c_str(), 1);
+    const bool prev_trace = obs::setTraceEnabled(true);
+    const bool prev_export = obs::setTraceExportEnabled(true);
+    runAndParseInto(&sinks, tempPath("bench_runner_sinks.json"),
+                    "ztest_sinks", 0);
+    obs::setTraceExportEnabled(prev_export);
+    obs::setTraceEnabled(prev_trace);
+    ::unsetenv("MRQ_RUN_DIR");
+
+    // The pipeline's scope opened inside the case's run, so it reset
+    // nothing: both counters survive, with or without sinks.
+    ASSERT_EQ(plain.cases.size(), 1u);
+    ASSERT_EQ(sinks.cases.size(), 1u);
+    EXPECT_EQ(plain.cases[0].metrics.at("test.bench.before_scope").i, 3);
+    EXPECT_EQ(plain.cases[0].metrics.at("test.bench.inside_scope").i, 5);
+    expectSameMetrics(plain.cases[0], sinks.cases[0]);
+
+    // Only the case's scope wrote files, each once.
+    std::vector<std::string> files;
+    for (const auto& e : std::filesystem::directory_iterator(dir))
+        files.push_back(e.path().filename().string());
+    std::sort(files.begin(), files.end());
+    EXPECT_EQ(files, (std::vector<std::string>{"metrics.jsonl",
+                                               "ztest_sinks.trace.json"}));
+    const std::string metrics = readFile(dir + "/metrics.jsonl");
+    const std::regex manifest(R"re("type": "manifest", "run": "([^"]*)")re");
+    std::vector<std::string> runs;
+    for (auto it = std::sregex_iterator(metrics.begin(), metrics.end(),
+                                        manifest);
+         it != std::sregex_iterator(); ++it)
+        runs.push_back((*it)[1].str());
+    EXPECT_EQ(runs, std::vector<std::string>{"ztest_sinks"}) << metrics;
+    std::filesystem::remove_all(dir);
 }
 
 TEST(BenchRunner, WarmupAndRepsRunTheBody)
@@ -390,19 +459,21 @@ TEST(BenchRunner, FailedRequireFailsTheSuite)
 
 TEST(BenchRunner, LostPerCaseSinkFailsTheSuite)
 {
-    // A sample-profile path under a regular file can never be
-    // created: the case's profile is lost, and the suite's exit says
-    // so even though every case passed.
+    // A run directory under a regular file can never be created: the
+    // case's profile is lost, and the suite's exit says so even
+    // though every case passed.
     const std::string blocker = tempPath("bench_runner_blocker");
     {
         std::ofstream out(blocker);
         out << "not a directory\n";
     }
-    ::setenv("MRQ_SAMPLE_OUT", (blocker + "/{run}.jsonl").c_str(), 1);
+    ::setenv("MRQ_RUN_DIR", (blocker + "/run").c_str(), 1);
+    ::setenv("MRQ_SAMPLE", "1", 1);
     BenchReport parsed;
     runAndParseInto(&parsed, tempPath("bench_runner_lost.json"),
                     "ztest_synthetic", 1);
-    ::unsetenv("MRQ_SAMPLE_OUT");
+    ::unsetenv("MRQ_SAMPLE");
+    ::unsetenv("MRQ_RUN_DIR");
     std::remove(blocker.c_str());
     ASSERT_EQ(parsed.cases.size(), 1u);
     EXPECT_FALSE(parsed.cases[0].failed);
@@ -608,8 +679,8 @@ TEST(BenchCompare, TruncatedProfileDowngradesToDiagnostic)
     const std::string cur_dir = dir + "bench_cmp_prof_cur";
     std::filesystem::create_directories(base_dir);
     std::filesystem::create_directories(cur_dir);
-    std::ofstream(base_dir + "/sample_case.jsonl") << cpu_header;
-    std::ofstream(cur_dir + "/sample_case.jsonl")
+    std::ofstream(base_dir + "/sample_case.cpu.jsonl") << cpu_header;
+    std::ofstream(cur_dir + "/sample_case.cpu.jsonl")
         << cpu_header + cpu_stack + cpu_end;
     const std::string base = tempPath("bench_cmp_attr_base.json");
     const std::string slow = tempPath("bench_cmp_attr_slow.json");
@@ -620,8 +691,8 @@ TEST(BenchCompare, TruncatedProfileDowngradesToDiagnostic)
     const std::string log = tempPath("bench_cmp_attr.log");
     const int rc = std::system(
         ("python3 " + std::string(MRQ_SOURCE_DIR) +
-         "/tools/bench_compare.py --check-timing --samples-base=" +
-         base_dir + " --samples-cur=" + cur_dir + " " + base + " " +
+         "/tools/bench_compare.py --check-timing --profiles-base=" +
+         base_dir + " --profiles-cur=" + cur_dir + " " + base + " " +
          slow + " > " + log + " 2>&1")
             .c_str());
     ASSERT_TRUE(WIFEXITED(rc));

@@ -399,7 +399,12 @@ TEST(CheckSchema, Usr1PostmortemDump)
     ASSERT_TRUE(obs::installCrashHandlers(cfg));
     const bool prev = obs::setFlightEnabled(true);
     obs::flightMark("schema.usr1_probe", 1);
+    // Armed heap hooks give the dump a heap digest (when the build
+    // interposes the allocator).
+    const bool heap_armed = obs::startHeapProfiler(1LL << 30);
     ::raise(SIGUSR1);
+    if (heap_armed)
+        obs::stopHeapProfiler();
     obs::setFlightEnabled(prev);
     fs::path dump;
     for (const auto& e : fs::directory_iterator(dir))
@@ -444,9 +449,8 @@ TEST(CheckSchema, Usr1PostmortemDump)
          {"the end line is present",
           "\\{\"type\": \"postmortem_end\"[^\n]*\n", ""}});
 
-    // The report renders the heap digest whenever the build interposes
-    // the allocator, and still renders a dump without one (sanitizer
-    // builds, truncation).
+    // The report renders the heap digest, and still renders a dump
+    // without one (no hook armed, sanitizer builds, truncation).
     const fs::path report = tempFile("pm_report.txt");
     ASSERT_EQ(renderPostmortem(dump, report), 0) << readAll(report);
     EXPECT_EQ(text.find(R"({"type": "heap")") != std::string::npos,

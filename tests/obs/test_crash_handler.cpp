@@ -25,6 +25,7 @@
 #include <fcntl.h>
 #include <filesystem>
 #include <new>
+#include <regex>
 #include <signal.h>
 #include <string>
 #include <thread>
@@ -116,7 +117,7 @@ class CrashHandlerTest : public testing::Test
         // Death-test children inherit these; scrub in the parent so
         // later tests (and pipelines' faultInjectionPoint calls)
         // never see a stray armed fault.
-        ::unsetenv("MRQ_POSTMORTEM_DIR");
+        ::unsetenv("MRQ_RUN_DIR");
         ::unsetenv("MRQ_FAULT");
         ::unsetenv("MRQ_HANG_AFTER");
         ::unsetenv("MRQ_WATCHDOG");
@@ -127,7 +128,7 @@ class CrashHandlerTest : public testing::Test
     void
     armEnv(const char* fault)
     {
-        ::setenv("MRQ_POSTMORTEM_DIR", dir_.string().c_str(), 1);
+        ::setenv("MRQ_RUN_DIR", dir_.string().c_str(), 1);
         ::setenv("MRQ_FAULT", fault, 1);
     }
 
@@ -226,7 +227,7 @@ TEST_F(CrashHandlerTest, TerminateHookWritesDump)
 TEST_F(CrashHandlerTest, StderrFallbackWithoutDumpDir)
 {
     ::setenv("MRQ_FAULT", "segv@epoch:0", 1);
-    // No MRQ_POSTMORTEM_DIR: the dump goes to stderr, which the
+    // No MRQ_RUN_DIR: the dump goes to stderr, which the
     // death-test matcher can see.
     EXPECT_EXIT(
         {
@@ -308,10 +309,49 @@ TEST_F(CrashHandlerTest, HandlerPathAllocatesNoHeap)
         << "handler path allocated " << (after - before) << " times";
 }
 
+TEST_F(CrashHandlerTest, HeapDigestOnlyOnceAHookIsArmed)
+{
+    // The heap hooks count nothing until one is armed, so a process
+    // that never armed one writes no heap line rather than a digest
+    // of zeros.  The threadsafe child is a fresh process, with
+    // nothing armed until it starts the profiler.
+    if (!obs::heapInterpositionActive())
+        GTEST_SKIP() << "replacement operators not linked";
+    const fs::path unarmed = dir_ / "unarmed.jsonl";
+    const fs::path armed = dir_ / "armed.jsonl";
+    EXPECT_EXIT(
+        {
+            const auto dump = [](const fs::path& path) {
+                const int fd = ::open(path.c_str(),
+                                      O_WRONLY | O_CREAT | O_TRUNC, 0644);
+                obs::writePostmortemNow(fd, "usr1");
+                ::close(fd);
+            };
+            dump(unarmed);
+            obs::startHeapProfiler(1LL << 30);
+            volatile char* p = new char[4096];
+            p[0] = 1;
+            delete[] const_cast<char*>(p);
+            obs::stopHeapProfiler();
+            dump(armed);
+            std::exit(0);
+        },
+        testing::ExitedWithCode(0), "");
+    EXPECT_EQ(readAll(unarmed).find("\"type\": \"heap\""),
+              std::string::npos)
+        << readAll(unarmed);
+    const std::string text = readAll(armed);
+    std::smatch m;
+    ASSERT_TRUE(std::regex_search(
+        text, m, std::regex(R"re("type": "heap".*"alloc_count": (\d+))re")))
+        << text;
+    EXPECT_GT(std::stoll(m[1].str()), 0) << text;
+}
+
 TEST_F(CrashHandlerTest, GracefulSigtermFlushesSinksAndExits75)
 {
-    const fs::path metrics = dir_ / "metrics-term.jsonl";
-    ::setenv("MRQ_METRICS_OUT", metrics.string().c_str(), 1);
+    const fs::path metrics = dir_ / "metrics.jsonl";
+    ::setenv("MRQ_RUN_DIR", dir_.string().c_str(), 1);
     EXPECT_EXIT(
         {
             obs::installCrashHandlersFromEnv();
@@ -324,7 +364,6 @@ TEST_F(CrashHandlerTest, GracefulSigtermFlushesSinksAndExits75)
             ::raise(SIGTERM);
         },
         testing::ExitedWithCode(obs::kGracefulExitCode), "");
-    ::unsetenv("MRQ_METRICS_OUT");
     const std::string text = readAll(metrics);
     EXPECT_NE(text.find("\"run\": \"unit.graceful\""),
               std::string::npos)

@@ -27,6 +27,7 @@
 
 #include "kernels/roofline.hpp"
 #include "obs/heap_profiler.hpp"
+#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -126,14 +127,8 @@ TEST(HeapProfiler, StartStopLifecycle)
 TEST(HeapProfiler, EnvKnobsClampAndImplyEnable)
 {
     ::unsetenv("MRQ_HEAPPROF");
-    ::unsetenv("MRQ_HEAPPROF_OUT");
     EXPECT_FALSE(obs::heapProfilerEnabledFromEnv());
     EXPECT_FALSE(obs::startHeapProfilerFromEnv());
-    ::setenv("MRQ_HEAPPROF_OUT", "/tmp/heap.jsonl", 1);
-    EXPECT_TRUE(obs::heapProfilerEnabledFromEnv())
-        << "MRQ_HEAPPROF_OUT must imply profiling";
-    EXPECT_EQ(obs::heapOutPath(), "/tmp/heap.jsonl");
-    ::unsetenv("MRQ_HEAPPROF_OUT");
     ::setenv("MRQ_HEAPPROF", "1", 1);
     EXPECT_TRUE(obs::heapProfilerEnabledFromEnv());
     ::unsetenv("MRQ_HEAPPROF");
@@ -256,20 +251,26 @@ TEST(HeapProfiler, RunPlaceholderLandsProfileUnderRunName)
 {
     if (!obs::heapInterpositionActive())
         GTEST_SKIP() << "replacement operators not linked";
+    // The outermost RunScope writes the run's profile to
+    // <run>.heap.jsonl in MRQ_RUN_DIR as it closes.
     HeapProfGuard guard;
     ASSERT_TRUE(guard.started());
-    churnHeap();
-    const fs::path dir = fs::temp_directory_path();
-    const fs::path pattern = dir / "mrq_{run}_heap.jsonl";
-    const fs::path expect = dir / "mrq_unit.heap_heap.jsonl";
-    ::setenv("MRQ_HEAPPROF_OUT", pattern.string().c_str(), 1);
-    EXPECT_TRUE(obs::flushHeapProfile("unit.heap"));
-    ::unsetenv("MRQ_HEAPPROF_OUT");
+    const fs::path dir = fs::temp_directory_path() / "mrq_heap_run";
+    fs::remove_all(dir);
+    ::setenv("MRQ_RUN_DIR", dir.string().c_str(), 1);
+    {
+        obs::RunManifest manifest;
+        manifest.run = "unit.heap";
+        const obs::RunScope run(std::move(manifest), /*verbose=*/false);
+        churnHeap();
+    }
+    ::unsetenv("MRQ_RUN_DIR");
+    const fs::path expect = dir / "unit.heap.heap.jsonl";
     EXPECT_TRUE(fs::exists(expect)) << expect;
     const std::string text = readAll(expect);
     EXPECT_NE(text.find("\"kind\": \"heap\""), std::string::npos)
         << text;
-    fs::remove(expect);
+    fs::remove_all(dir);
 }
 
 TEST(HeapProfiler, FoldedStacksCarrySpanAndByteWeight)

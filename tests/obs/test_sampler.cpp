@@ -23,6 +23,7 @@
 
 #include "kernels/roofline.hpp"
 #include "obs/crash_handler.hpp"
+#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -121,14 +122,8 @@ TEST(Sampler, EnvKnobsClampAndImplyEnable)
               1000000000LL / obs::kSampleDefaultHz);
 
     ::unsetenv("MRQ_SAMPLE");
-    ::unsetenv("MRQ_SAMPLE_OUT");
     EXPECT_FALSE(obs::samplerEnabledFromEnv());
     EXPECT_FALSE(obs::startSamplerFromEnv());
-    ::setenv("MRQ_SAMPLE_OUT", "/tmp/prof.jsonl", 1);
-    EXPECT_TRUE(obs::samplerEnabledFromEnv())
-        << "MRQ_SAMPLE_OUT must imply sampling";
-    EXPECT_EQ(obs::sampleOutPath(), "/tmp/prof.jsonl");
-    ::unsetenv("MRQ_SAMPLE_OUT");
     ::setenv("MRQ_SAMPLE", "1", 1);
     EXPECT_TRUE(obs::samplerEnabledFromEnv());
     ::unsetenv("MRQ_SAMPLE");
@@ -280,21 +275,26 @@ TEST(Sampler, JsonlSchemaRoundTripAndSelfDiff)
 
 TEST(Sampler, RunPlaceholderLandsProfileUnderRunName)
 {
+    // The outermost RunScope writes the run's profile to
+    // <run>.cpu.jsonl in MRQ_RUN_DIR as it closes.
     SamplerGuard guard;
     ASSERT_TRUE(guard.started());
-    obs::resetSamplerProfile();
-    captureSamples(4);
-    const fs::path dir = fs::temp_directory_path();
-    const fs::path pattern = dir / "mrq_{run}_sample.jsonl";
-    const fs::path expect = dir / "mrq_unit.sampler_sample.jsonl";
-    ::setenv("MRQ_SAMPLE_OUT", pattern.string().c_str(), 1);
-    EXPECT_TRUE(obs::flushSampleProfile("unit.sampler"));
-    ::unsetenv("MRQ_SAMPLE_OUT");
+    const fs::path dir = fs::temp_directory_path() / "mrq_sampler_run";
+    fs::remove_all(dir);
+    ::setenv("MRQ_RUN_DIR", dir.string().c_str(), 1);
+    {
+        obs::RunManifest manifest;
+        manifest.run = "unit.sampler";
+        const obs::RunScope run(std::move(manifest), /*verbose=*/false);
+        captureSamples(4);
+    }
+    ::unsetenv("MRQ_RUN_DIR");
+    const fs::path expect = dir / "unit.sampler.cpu.jsonl";
     EXPECT_TRUE(fs::exists(expect)) << expect;
     const std::string text = readAll(expect);
     EXPECT_NE(text.find("\"kind\": \"cpu\""), std::string::npos)
         << text;
-    fs::remove(expect);
+    fs::remove_all(dir);
 }
 
 TEST(Sampler, ThreadTimeDecomposesPoolWallClock)
@@ -354,7 +354,7 @@ class SamplerDeathTest : public testing::Test
     void
     TearDown() override
     {
-        ::unsetenv("MRQ_POSTMORTEM_DIR");
+        ::unsetenv("MRQ_RUN_DIR");
         ::unsetenv("MRQ_FAULT");
         fs::remove_all(dir_);
     }
@@ -379,7 +379,7 @@ TEST_F(SamplerDeathTest, CrashMidSamplingWritesValidPostmortem)
 {
     if (!pythonAvailable())
         GTEST_SKIP() << "python3 not available";
-    ::setenv("MRQ_POSTMORTEM_DIR", dir_.string().c_str(), 1);
+    ::setenv("MRQ_RUN_DIR", dir_.string().c_str(), 1);
     ::setenv("MRQ_FAULT", "segv@epoch:0", 1);
     EXPECT_EXIT(
         {

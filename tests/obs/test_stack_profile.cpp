@@ -1,7 +1,7 @@
 /**
  * @file
- * Stack-profile core tests: the shared JSON escaper and "{run}"
- * placeholder, the aggregate's deterministic heaviest-first row
+ * Stack-profile core tests: the shared JSON escaper, the
+ * aggregate's deterministic heaviest-first row
  * order, the one JSONL writer against tools/check_schema.py profile
  * for both kinds, and the folded-stack rendering of
  * tools/profile_diff.py --folded (span path root-first, ';' joins,
@@ -133,10 +133,6 @@ TEST(StackProfile, JsonEscapeAndRunPlaceholder)
     EXPECT_EQ(obs::jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
     EXPECT_EQ(obs::jsonEscape(std::string("n\nt\t\x01", 5)),
               "n\\u000at\\u0009\\u0001");
-    EXPECT_EQ(obs::resolveRunPath("out/{run}.jsonl", "case_a"),
-              "out/case_a.jsonl");
-    EXPECT_EQ(obs::resolveRunPath("out/fixed.jsonl", "case_a"),
-              "out/fixed.jsonl");
 }
 
 TEST(StackProfile, AggregateRowsSortHeaviestFirst)

@@ -31,17 +31,16 @@ that is unreadable or fails the trajectory schema exits 2 with a
 one-line diagnostic, never 1, so a malformed input is not mistaken
 for a regression.
 
-When both runs also recorded sample profiles (MRQ_SAMPLE_OUT pointing
-into a directory, one <case-slug>.jsonl per case), pass
---samples-base=DIR and --samples-cur=DIR: every tripped timing gate
-then runs tools/profile_diff.py over that case's two profiles and
-prints the top stack deltas, so the CI failure names the code that
-got slower, not just the case.  The same attribution exists for
-memory: with --heap-base=DIR and --heap-cur=DIR (per-case heap
-profiles from MRQ_HEAPPROF_OUT), every tripped resources gate on a
-heap key runs the same diff over the heap profiles.  A profile that
-is missing or unparsable (empty, truncated, the wrong kind)
-downgrades to an "attribution unavailable" note — never a gate
+When both runs also recorded per-case profiles (MRQ_RUN_DIR with
+MRQ_SAMPLE=1 and/or MRQ_HEAPPROF=1: <case>.cpu.jsonl and
+<case>.heap.jsonl per case), pass --profiles-base=DIR and
+--profiles-cur=DIR, the two run directories.  Every tripped timing
+gate then runs tools/profile_diff.py over that case's two CPU
+profiles and prints the top stack deltas, so the CI failure names
+the code that got slower, not just the case; every tripped resources
+gate on a heap key runs the same diff over the heap profiles.  A
+profile that is missing or unparsable (empty, truncated, the wrong
+kind) downgrades to an "attribution unavailable" note — never a gate
 failure of its own.
 
 Options:
@@ -53,14 +52,11 @@ Options:
   --check-resources     enable the resources (RSS/perf/heap) noise
                         gate
   --resource-rtol=R     relative resources slack (default 1.0)
-  --samples-base=DIR    per-case sample profiles of the baseline run
-  --samples-cur=DIR     per-case sample profiles of the current run
-  --heap-base=DIR       per-case heap profiles of the baseline run
-  --heap-cur=DIR        per-case heap profiles of the current run
+  --profiles-base=DIR   run directory of the baseline run
+  --profiles-cur=DIR    run directory of the current run
 """
 
 import os
-import re
 import sys
 
 import check_schema
@@ -89,20 +85,13 @@ def rel_delta(base, cur):
     return abs(cur - base) / denom
 
 
-def slugify(label):
-    """Mirror of bench::slugify (harness.cpp): the per-case sample
-    profile of case X lives at <dir>/<slugify(X)>.jsonl."""
-    out = re.sub(r"[^0-9A-Za-z]+", "_", label).strip("_").lower()
-    return out or "value"
-
-
-def attribute_regression(case, base_dir, cur_dir):
-    """Run profile_diff over a regressed case's two profiles (sample
-    or heap) and return the report text, or None when either profile
-    is absent.  A profile that exists but does not parse (empty,
-    truncated, mistyped fields, mismatched kinds) downgrades to an
-    'attribution unavailable' message, never an exception."""
-    name = slugify(case) + ".jsonl"
+def attribute_regression(case, kind, base_dir, cur_dir):
+    """Run profile_diff over a regressed case's two profiles of `kind`
+    ("cpu" or "heap") and return the report text, or None when either
+    profile is absent.  A profile that exists but does not parse
+    (empty, truncated, mistyped fields, mismatched kinds) downgrades
+    to an 'attribution unavailable' message, never an exception."""
+    name = f"{case}.{kind}.jsonl"
     base_path = os.path.join(base_dir, name)
     cur_path = os.path.join(cur_dir, name)
     if not (os.path.isfile(base_path) and os.path.isfile(cur_path)):
@@ -217,10 +206,8 @@ def parse_args(argv):
         "value_rtol": 0.0,
         "check_resources": False,
         "resource_rtol": 1.0,
-        "samples_base": "",
-        "samples_cur": "",
-        "heap_base": "",
-        "heap_cur": "",
+        "profiles_base": "",
+        "profiles_cur": "",
     }
     paths = []
     for arg in argv[1:]:
@@ -228,14 +215,10 @@ def parse_args(argv):
             opts["check_timing"] = True
         elif arg == "--check-resources":
             opts["check_resources"] = True
-        elif arg.startswith("--samples-base="):
-            opts["samples_base"] = arg.split("=", 1)[1]
-        elif arg.startswith("--samples-cur="):
-            opts["samples_cur"] = arg.split("=", 1)[1]
-        elif arg.startswith("--heap-base="):
-            opts["heap_base"] = arg.split("=", 1)[1]
-        elif arg.startswith("--heap-cur="):
-            opts["heap_cur"] = arg.split("=", 1)[1]
+        elif arg.startswith("--profiles-base="):
+            opts["profiles_base"] = arg.split("=", 1)[1]
+        elif arg.startswith("--profiles-cur="):
+            opts["profiles_cur"] = arg.split("=", 1)[1]
         elif arg.startswith("--resource-rtol="):
             opts["resource_rtol"] = float(arg.split("=", 1)[1])
         elif arg.startswith("--timing-rtol="):
@@ -283,19 +266,19 @@ def main(argv):
         # Tripped timing gates name the stacks that got slower, and
         # tripped heap-resource gates the allocating stacks, when both
         # runs recorded the matching per-case profiles.
-        for cases, base_dir, cur_dir, what, knob in (
-                (cmp.timing_regressed, opts["samples_base"],
-                 opts["samples_cur"], "sample", "MRQ_SAMPLE_OUT"),
-                (cmp.heap_regressed, opts["heap_base"],
-                 opts["heap_cur"], "heap", "MRQ_HEAPPROF_OUT")):
-            if not (base_dir and cur_dir):
-                continue
+        base_dir, cur_dir = opts["profiles_base"], opts["profiles_cur"]
+        attributable = (
+            ((cmp.timing_regressed, "cpu", "MRQ_SAMPLE=1"),
+             (cmp.heap_regressed, "heap", "MRQ_HEAPPROF=1"))
+            if base_dir and cur_dir else ())
+        for cases, what, knob in attributable:
             for case in cases:
-                report = attribute_regression(case, base_dir, cur_dir)
+                report = attribute_regression(case, what, base_dir,
+                                              cur_dir)
                 if report is None:
                     print(f"note: no {what} profiles for {case}; "
-                          f"run with {knob} for attribution",
-                          file=sys.stderr)
+                          f"run with MRQ_RUN_DIR and {knob} for "
+                          f"attribution", file=sys.stderr)
                 else:
                     print(f"--- {what} attribution for {case} ---",
                           file=sys.stderr)

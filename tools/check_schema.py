@@ -5,15 +5,17 @@ Usage: check_schema.py KIND [FLAG...] FILE...
 
   KIND        artifact                                  flags
   bench       BENCH_<suite>.json trajectory (v1-v3)
-  metrics     MRQ_METRICS_OUT JSONL
-  inspect     MRQ_INSPECT_OUT JSONL
-  postmortem  MRQ_POSTMORTEM_DIR dump                   --reason R
+  metrics     metrics.jsonl
+  inspect     inspect.jsonl
+  postmortem  postmortem.<pid>[.usr1].jsonl dump        --reason R
                                                         --require-flight
                                                         --require-symbol
-  profile     MRQ_SAMPLE_OUT / MRQ_HEAPPROF_OUT JSONL   --require-stacks
+  profile     <run>.cpu.jsonl / <run>.heap.jsonl        --require-stacks
                                                         --require-kernel
                                                         --require-span
-  trace       MRQ_TRACE_OUT Chrome trace JSON           --require-counter
+  trace       <run>.trace.json Chrome trace JSON        --require-counter
+
+Every artifact but the bench trajectory is a file in $MRQ_RUN_DIR.
 
 Each record type's fields are declared once, in the tables below, as
 a map from field to a type-and-range check.  The framing rules are

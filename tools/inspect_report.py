@@ -14,9 +14,9 @@ Sections:
                         the teacher) and the eval-time pairwise
                         matrix of logit KL / top-1 match
 
-Reads the file produced by MRQ_INSPECT=on (default inspect.jsonl,
-override with MRQ_INSPECT_OUT) through check_schema.load("inspect",
-...); an invalid file exits 1 with that diagnostic.
+Reads the file produced by MRQ_INSPECT=on (inspect.jsonl in
+MRQ_RUN_DIR) through check_schema.load("inspect", ...); an invalid
+file exits 1 with that diagnostic.
 """
 
 import sys

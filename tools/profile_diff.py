@@ -3,9 +3,10 @@
 profile rendered as folded stacks.
 
 Reads the JSONL stack profiles written by the CPU sampler
-(``MRQ_SAMPLE_OUT``, kind "cpu", weight in ns of sampled CPU time) and
-the heap profiler (``MRQ_HEAPPROF_OUT``, kind "heap", weight in
-sampled bytes), parsed and validated by ``check_schema.load``.
+(``<run>.cpu.jsonl`` in ``MRQ_RUN_DIR`` under ``MRQ_SAMPLE=1``, kind
+"cpu", weight in ns of sampled CPU time) and the heap profiler
+(``<run>.heap.jsonl`` under ``MRQ_HEAPPROF=1``, kind "heap", weight
+in sampled bytes), parsed and validated by ``check_schema.load``.
 The weight column and its unit come from the header, so one diff
 serves both kinds: when a bench timing or heap gate trips, the failure
 comes with the stacks that account for the difference, ranked by
