@@ -10,10 +10,13 @@
 #include "obs/heap_profiler.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf_counters.hpp"
-#include "obs/proc_stats.hpp"
 #include "obs/sampler.hpp"
+#include "obs/sigsafe.hpp"
 #include "runtime/thread_pool.hpp"
+
+#ifdef MRQ_HAVE_SIGSAFE_IO
+#include <sys/resource.h>
+#endif
 
 #ifndef MRQ_BUILD_TYPE
 #define MRQ_BUILD_TYPE "unknown"
@@ -27,20 +30,20 @@ namespace {
 /** Machine-dependent facts about the reps just run, for the
  *  noise-gated "resources" map (never values/metrics). */
 std::map<std::string, double>
-caseResources(const char* perf_scope)
+caseResources()
 {
     std::map<std::string, double> out;
-    const obs::ProcStats proc = obs::readProcStats();
-    if (proc.peakRssKb >= 0)
-        out["peak_rss_kb"] = static_cast<double>(proc.peakRssKb);
-    for (const auto& [scope, totals] : obs::perfTotalsSnapshot()) {
-        if (scope != perf_scope || totals.cycles <= 0)
-            continue;
-        out["cycles"] = static_cast<double>(totals.cycles);
-        out["instructions"] = static_cast<double>(totals.instructions);
-        out["cache_misses"] = static_cast<double>(totals.cacheMisses);
-        out["branch_misses"] = static_cast<double>(totals.branchMisses);
-    }
+#ifdef MRQ_HAVE_SIGSAFE_IO
+    long long peak_rss_kb = obs::sigsafe::peakRssKb();
+    // getrusage also knows peak RSS (KiB on Linux) — the fallback when
+    // /proc was unreadable.
+    struct rusage ru {};
+    if (peak_rss_kb < 0 && getrusage(RUSAGE_SELF, &ru) == 0 &&
+        ru.ru_maxrss > 0)
+        peak_rss_kb = ru.ru_maxrss;
+    if (peak_rss_kb >= 0)
+        out["peak_rss_kb"] = static_cast<double>(peak_rss_kb);
+#endif
     if (obs::samplerRunning())
         out["samples"] = static_cast<double>(obs::samplerSampleCount());
     if (obs::heapProfilerRunning()) {
@@ -231,12 +234,6 @@ class Runner
             def.fn(ctx);
         }
 
-        // Hardware counters attach per timed rep (one PerfScope each)
-        // and sum in the perf side store; the store is cleared per
-        // case so the totals below cover exactly this case's reps.
-        obs::resetPerfTotals();
-        const char* kPerfScope = "bench.rep";
-
         std::vector<double> samples;
         samples.reserve(static_cast<std::size_t>(record.reps));
         {
@@ -260,12 +257,11 @@ class Runner
                 record.values.clear();
                 record.timingValues.clear();
                 obs::MetricsRegistry::instance().reset();
-                obs::PerfScope perf(kPerfScope);
                 samples.push_back(wallTimeMs([&] { def.fn(ctx); }));
             }
             record.metrics = flattenSnapshot(
                 obs::MetricsRegistry::instance().snapshot());
-            record.resources = caseResources(kPerfScope);
+            record.resources = caseResources();
         }
 
         obs::setMetricsEnabled(prev_metrics);

@@ -19,19 +19,18 @@
  *       "values": {str: num, ...},          // deterministic scalars
  *       "timing_values": {str: num, ...},   // wall-clock derived
  *       "metrics": {str: num, ...},         // MetricsRegistry snapshot
- *       "resources": {str: num, ...}},      // RSS / perf counters
+ *       "resources": {str: num, ...}},      // peak RSS / heap
  *      ...]}
  *
  * Determinism contract: for a fixed seed, tier and MRQ_THREADS, two
  * runs differ only in "wall_ms", "timing_values" and "resources" —
  * everything in "values" and "metrics" is bit-identical (this is what
  * tools/bench_compare.py and the quick-tier CI gate rely on).
- * "resources" holds per-case process facts (peak RSS, hardware
- * counter totals when MRQ_PERF counted, and — when the heap
- * interposition is linked — alloc_bytes/alloc_count/peak_heap over
- * the timed reps) that are machine-dependent by nature, so the tools
- * treat them like timings: noise-gated, never exact.  Cases and the
- * keys inside each map are sorted by name so diffs are stable.
+ * "resources" holds per-case process facts (peak_rss_kb, and — when
+ * the heap interposition is linked — alloc_bytes/alloc_count/peak_heap
+ * over the timed reps) that are machine-dependent by nature, so the
+ * tools treat them like timings: noise-gated, never exact.  Cases and
+ * the keys inside each map are sorted by name so diffs are stable.
  */
 
 #ifndef MRQ_BENCH_HARNESS_REPORT_HPP

@@ -48,12 +48,6 @@ installCrashHandlersFromEnv()
     return false;
 }
 
-bool
-crashHandlersInstalled()
-{
-    return false;
-}
-
 void
 setPostmortemManifest(const std::string&)
 {
@@ -711,12 +705,6 @@ installCrashHandlersFromEnv()
     cfg.hangAfterMs = envLong("MRQ_HANG_AFTER", 0);
     cfg.strictHang = watchdogModeFromEnv() == WatchdogMode::strict;
     return installCrashHandlers(cfg);
-}
-
-bool
-crashHandlersInstalled()
-{
-    return g_installed.load(std::memory_order_acquire) != 0;
 }
 
 void

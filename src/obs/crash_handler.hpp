@@ -95,9 +95,6 @@ bool installCrashHandlers(const CrashHandlerConfig& config);
  */
 bool installCrashHandlersFromEnv();
 
-/** True once installCrashHandlers() has installed the OS hooks. */
-bool crashHandlersInstalled();
-
 /** Pre-render the active run's manifest JSON line for dumps.  Called
  *  by RunScope; cheap, thread-safe, crash-time reads are lock-free. */
 void setPostmortemManifest(const std::string& manifestLine);

@@ -199,7 +199,8 @@ readFile(const char* path, char* buf, std::size_t cap)
 
 /** Peak resident set (VmHWM) in kB from /proc/self/status; -1 when
  *  unavailable.  Raw read + integer parse — safe inside a handler;
- *  obs::readProcStats() adds a getrusage() fallback on top. */
+ *  the bench harness's resources map adds a getrusage() fallback on
+ *  top. */
 inline long long
 peakRssKb()
 {

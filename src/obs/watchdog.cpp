@@ -227,13 +227,5 @@ Watchdog::checkRungKl(const std::string& context, std::int64_t batch,
                   " warn_above=" + formatValue(cfg_.rungKlWarn));
 }
 
-void
-Watchdog::resetHistory()
-{
-    lossWindows_.clear();
-    sqnrWindows_.clear();
-    alerts_ = 0;
-}
-
 } // namespace obs
 } // namespace mrq

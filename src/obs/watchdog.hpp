@@ -151,15 +151,12 @@ class Watchdog
     void checkRungKl(const std::string& context, std::int64_t batch,
                      double kl);
 
-    /** Alerts raised by this instance since construction/reset. */
+    /** Alerts raised by this instance since construction. */
     std::int64_t
     alertCount() const
     {
         return alerts_;
     }
-
-    /** Drop trailing-loss windows and the alert count (new run). */
-    void resetHistory();
 
   private:
     void raise(const char* severity, const char* rule,

@@ -12,7 +12,6 @@
 #include "obs/inspect.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
 
@@ -256,14 +255,18 @@ inferRows(MultiResTrainer& trainer, const Tensor& inputs,
     return all;
 }
 
-/** Test-set top-1 accuracy at one configuration. */
+/** Test-set top-1 accuracy at one configuration; the test logits it
+ *  scored are handed back in @p logits when non-null. */
 double
 evalClassifier(MultiResTrainer& trainer, const SynthImages& data,
-               const SubModelConfig& cfg)
+               const SubModelConfig& cfg, Tensor* logits)
 {
     recalibrateBatchNorm(trainer, data.trainImages(), cfg, 15, 50);
-    return top1Accuracy(inferRows(trainer, data.testImages(), cfg, 100),
-                        data.testLabels());
+    Tensor out = inferRows(trainer, data.testImages(), cfg, 100);
+    const double accuracy = top1Accuracy(out, data.testLabels());
+    if (logits != nullptr)
+        *logits = std::move(out);
+    return accuracy;
 }
 
 /** Test-set mAP@0.5 at one configuration. */
@@ -301,14 +304,16 @@ struct TaskFamily
     HardLossFn hard;
     SoftLossFn soft;
     float gradClip = TrainerOptions{}.gradClip;
-    /** Metric of one configuration (higherIsBetter orders rungs). */
-    std::function<double(MultiResTrainer&, const SubModelConfig&)> eval;
+    /** Metric of one configuration (higherIsBetter orders rungs).  A
+     *  family that scores per-sample logits hands them back through a
+     *  non-null Tensor*, for the inter-rung agreement matrix; the
+     *  others leave it untouched. */
+    std::function<double(MultiResTrainer&, const SubModelConfig&,
+                         Tensor*)>
+        eval;
     bool higherIsBetter = true;
     /** MAC-count input; its dim 0 is the per-sample divisor. */
     Tensor macProbe;
-    /** Inputs whose leading rows (up to 64) every rung runs for the
-     *  inter-rung agreement probe; null: the family has none. */
-    const Tensor* agreementInputs = nullptr;
 };
 
 /** Phase 2 of the recipe. */
@@ -345,7 +350,6 @@ runPipeline(Module& model, const SubModelLadder& ladder,
         obs::faultInjectionPoint("epoch",
                                  static_cast<std::int64_t>(epoch));
         MRQ_TRACE_SPAN("pipeline.fp_epoch");
-        obs::PerfScope perf("pipeline.fp_epoch");
         const auto t0 = Clock::now();
         trainer.optimizer().setLr(
             cosineLr(opts.fpLr, static_cast<int>(epoch),
@@ -363,7 +367,7 @@ runPipeline(Module& model, const SubModelLadder& ladder,
     if (opts.fpEpochs > 0)
         result.fpEpochSeconds /= static_cast<double>(opts.fpEpochs);
     model.calibrateWeightClips();
-    result.fp32Metric = fam.eval(trainer, fpConfig());
+    result.fp32Metric = fam.eval(trainer, fpConfig(), nullptr);
     if (obs::metricsEnabled())
         obs::MetricsRegistry::instance().setGauge("train.eval.fp32.metric",
                                                   result.fp32Metric);
@@ -375,7 +379,6 @@ runPipeline(Module& model, const SubModelLadder& ladder,
             obs::faultInjectionPoint("epoch",
                                      static_cast<std::int64_t>(epoch));
             MRQ_TRACE_SPAN("pipeline.tune_epoch");
-            obs::PerfScope perf("pipeline.tune_epoch");
             const auto t0 = Clock::now();
             trainer.optimizer().setLr(
                 cosineLr(opts.mrLr, static_cast<int>(epoch),
@@ -435,19 +438,13 @@ runPipeline(Module& model, const SubModelLadder& ladder,
         MRQ_TRACE_SPAN("pipeline.eval");
         obs::InspectEvalScope inspect_eval;
 
-        // Inter-rung agreement probe: the same leading slice of the
-        // family's inputs is run through every rung, and each pair of
-        // rungs is scored on logit KL + top-1 match.  The probe logits
-        // are captured inside the per-rung loop, right after that
-        // rung's evaluation, so batch-norm statistics are the ones its
-        // eval used.
-        Tensor probe_batch;
-        std::vector<Tensor> probe_logits;
-        if (fam.agreementInputs != nullptr && obs::inspectSampling() &&
-            ladder.size() > 1)
-            probe_batch = rowSlice(
-                *fam.agreementInputs, 0,
-                std::min<std::size_t>(64, fam.agreementInputs->dim(0)));
+        // Inter-rung agreement: each pair of rungs is scored on logit
+        // KL + top-1 match over the logits the rungs' own evaluations
+        // produced, so no extra forward runs and batch-norm statistics
+        // are the ones each eval used.
+        const bool agreement =
+            obs::inspectSampling() && ladder.size() > 1;
+        std::vector<Tensor> logits(agreement ? ladder.size() : 0);
 
         for (std::size_t i = 0; i < ladder.size(); ++i) {
             obs::faultInjectionPoint("rung",
@@ -455,10 +452,8 @@ runPipeline(Module& model, const SubModelLadder& ladder,
             const SubModelConfig& cfg = ladder[i];
             SubModelResult r;
             r.config = cfg;
-            r.metric = fam.eval(trainer, cfg);
-            if (!probe_batch.empty())
-                probe_logits.push_back(
-                    trainer.inferAt(probe_batch, cfg));
+            r.metric =
+                fam.eval(trainer, cfg, agreement ? &logits[i] : nullptr);
             r.termPairs = termPairCount(macs, cfg);
             recordSubModelEval(i, r);
             obs::logf("phase=eval rung=%s metric=%.4f term_pairs=%zu",
@@ -466,21 +461,17 @@ runPipeline(Module& model, const SubModelLadder& ladder,
             result.subModels.push_back(std::move(r));
         }
 
-        if (probe_logits.size() > 1) {
+        if (agreement && !logits.front().empty()) {
             obs::QuantInspector& inspector =
                 obs::QuantInspector::instance();
-            for (std::size_t i = 0; i < probe_logits.size(); ++i)
-                for (std::size_t j = i + 1; j < probe_logits.size();
-                     ++j) {
+            for (std::size_t i = 0; i < logits.size(); ++i)
+                for (std::size_t j = i + 1; j < logits.size(); ++j) {
                     double kl = 0.0;
                     double top1 = 0.0;
-                    logitAgreement(probe_logits[i], probe_logits[j],
-                                   &kl, &top1);
+                    logitAgreement(logits[i], logits[j], &kl, &top1);
                     inspector.recordRungAgreement(
                         run, ladder[i].name(), ladder[j].name(), kl,
-                        top1,
-                        static_cast<std::int64_t>(
-                            probe_logits[i].dim(0)));
+                        top1, static_cast<std::int64_t>(logits[i].dim(0)));
                 }
         }
     }
@@ -515,11 +506,11 @@ classifierPipeline(Sequential& model, const SynthImages& data,
         return softmaxCrossEntropy(out, labels, dout);
     };
     fam.soft = logitDistillation(opts.distillTemperature);
-    fam.eval = [&data](MultiResTrainer& trainer, const SubModelConfig& cfg) {
-        return evalClassifier(trainer, data, cfg);
+    fam.eval = [&data](MultiResTrainer& trainer, const SubModelConfig& cfg,
+                       Tensor* logits) {
+        return evalClassifier(trainer, data, cfg, logits);
     };
     fam.macProbe = rowSlice(data.testImages(), 0, 1);
-    fam.agreementInputs = &data.testImages();
     return runPipeline(model, ladder, opts, tune, fam);
 }
 
@@ -558,7 +549,8 @@ lmPipeline(LstmLm& model, const SynthText& data,
     };
     fam.soft = logitDistillation(opts.distillTemperature);
     fam.gradClip = 1.0f;
-    fam.eval = [&](MultiResTrainer& trainer, const SubModelConfig& cfg) {
+    fam.eval = [&](MultiResTrainer& trainer, const SubModelConfig& cfg,
+                   Tensor*) {
         trainer.context().config = cfg;
         return lmPerplexity(model, data.valid(), opts.bptt);
     };
@@ -600,9 +592,8 @@ yoloPipeline(TinyYolo& model, const SynthDetect& data,
     fam.soft = [](const Tensor& s, const Tensor& t, Tensor* ds) {
         return mseLoss(s, t, ds);
     };
-    fam.eval = [&data](MultiResTrainer& trainer, const SubModelConfig& cfg) {
-        return evalYolo(trainer, data, cfg);
-    };
+    fam.eval = [&data](MultiResTrainer& trainer, const SubModelConfig& cfg,
+                       Tensor*) { return evalYolo(trainer, data, cfg); };
     fam.macProbe = rowSlice(data.testImages(), 0, 1);
     return runPipeline(model, ladder, opts, tune, fam);
 }

@@ -367,6 +367,10 @@ TEST(BenchRunner, CapturesValuesTimingAndMetrics)
     ASSERT_TRUE(rec.metrics.count("test.bench.synthetic_counter"));
     EXPECT_EQ(rec.metrics.at("test.bench.synthetic_counter").i, 7);
 
+    // Every case's resources carry the process's peak RSS.
+    ASSERT_TRUE(rec.resources.count("peak_rss_kb"));
+    EXPECT_GT(rec.resources.at("peak_rss_kb"), 0.0);
+
     // Manifest stamped with tier and suite.
     EXPECT_EQ(parsed.suite, "unit");
     EXPECT_EQ(parsed.manifest.run, "bench.unit");

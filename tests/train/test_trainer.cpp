@@ -8,7 +8,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "core/multires_trainer.hpp"
@@ -20,6 +22,7 @@
 #include "models/tiny_yolo.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
+#include "obs/inspect.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 #include "train/pipelines.hpp"
@@ -364,6 +367,51 @@ TEST(Integration, MultiResPipelinesRecordOneSeriesSet)
     }
     obs::setMetricsEnabled(prev);
     reg.reset();
+}
+
+TEST(Integration, RungAgreementScoresTheEvaluationLogits)
+{
+    const SynthImages images(120, 80, 3, 8, 4, 0.3);
+    const SubModelLadder ladder = makeTqLadder(3, 20, 5, 3, 2, 5, 16);
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+    obs::QuantInspector& inspector = obs::QuantInspector::instance();
+    const bool prev_metrics = obs::setMetricsEnabled(true);
+    std::map<std::string, std::int64_t> counters[2];
+    std::string records;
+    for (int on = 0; on < 2; ++on) {
+        const bool prev_inspect = inspector.setEnabled(on == 1);
+        reg.reset();
+        Rng rng(1);
+        auto model = buildResNetTiny(rng, images.numClasses());
+        runClassifierMultiRes(*model, images, ladder, tinyOptions());
+        for (const auto& c : reg.snapshot().counters)
+            counters[on][c.name] = c.value;
+        if (on == 1)
+            records = inspector.renderJsonl();
+        inspector.reset();
+        inspector.setEnabled(prev_inspect);
+    }
+    obs::setMetricsEnabled(prev_metrics);
+    reg.reset();
+
+    // Watching the evaluation runs no forward of its own.
+    EXPECT_FALSE(counters[0].empty());
+    EXPECT_EQ(counters[0], counters[1]);
+
+    // One eval record per rung pair, each over every test image.
+    const std::string n =
+        "\"n\": " + std::to_string(images.testImages().dim(0)) + "}";
+    std::istringstream lines(records);
+    std::string line;
+    std::size_t pairs = 0;
+    while (std::getline(lines, line)) {
+        if (line.find("\"kind\": \"rung_agree\"") == std::string::npos ||
+            line.find("\"phase\": \"eval\"") == std::string::npos)
+            continue;
+        ++pairs;
+        EXPECT_NE(line.find(n), std::string::npos) << line;
+    }
+    EXPECT_EQ(pairs, ladder.size() * (ladder.size() - 1) / 2);
 }
 
 } // namespace

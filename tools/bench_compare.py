@@ -15,13 +15,13 @@ Exits non-zero when CURRENT regresses from BASELINE:
     Timing checks are OFF unless --check-timing is given, because
     trajectory files from different machines are not comparable.
 
-The "resources" map (schema v2: peak RSS, hardware perf counter
-totals; schema v3 adds alloc_bytes/alloc_count/peak_heap from the
-heap profiler) is machine-dependent like timing: it is never compared
-exactly, only noise-gated under --check-resources (worse by more
-than --resource-rtol, default 1.0 = 2x), and absent fields (perf or
-heap interposition unavailable in the environment) are never
-regressions.
+The "resources" map (schema v2: peak RSS; schema v3 adds
+alloc_bytes/alloc_count/peak_heap from the heap profiler) is
+machine-dependent like timing: it is never compared exactly, only
+noise-gated under --check-resources (worse by more than
+--resource-rtol, default 1.0 = 2x), and absent fields (the heap
+profiler off, or a sanitizer build without the heap interposition)
+are never regressions.
 
 New cases / new keys in CURRENT are reported but never fatal (the
 trajectory is expected to grow).  Improvements are never fatal.
@@ -161,8 +161,9 @@ class Comparison:
         rtol = self.opts["resource_rtol"]
         for key in sorted(base):
             if key not in cur:
-                # Perf counters are environment-dependent (containers,
-                # perf_event_paranoid); absence is never a regression.
+                # Heap keys exist only where the heap profiler ran
+                # (never in sanitizer builds); absence is never a
+                # regression.
                 self.note(f"{case}: resources[{key}] absent in current")
                 continue
             b, c = base[key], cur[key]
